@@ -8,7 +8,7 @@ permutation, and the ranked essential family extracted from its diagram:
 - essential: rank reconstruction, connectedness, excess/core, axioms,
   family-to-permutation
 - retrieval: the rank-condition retrieval algorithm with trace support
-- geometry: cell codimension, polytope facets, bases, variety conditions
+- geometry: cell codimension, polytope facets (= variety conditions), bases
 - smallrank: rank-2 flats and the cyclic-interval positroid criterion
 - realize: exact-rational realization oracle
 """

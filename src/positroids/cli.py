@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
 
 from . import diagram, essential, geometry, realize, retrieval, smallrank
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     CyclicInterval,
     NotBijective,
     enumerate_permutations,
+    json_int,
 )
 
 EXIT_OK = 0
@@ -72,13 +73,6 @@ def _load_perm_or_family(obj: dict):
     if "sets" in obj:
         return None, _load_family(obj)
     raise _Malformed("expected a permutation ('window') or a family ('sets')")
-
-
-def _validated(family: essential.RankedEssentialFamily):
-    violations = essential.validate_chess(family)
-    if violations:
-        raise essential.NotValidated(violations)
-    return family
 
 
 def _dump(obj) -> str:
@@ -146,12 +140,13 @@ def _cmd_rank(args) -> int:
                     f"rank disagreement: permutation {direct}, family {via_family}"
                 )
     else:
-        _validated(family)
+        if args.both:
+            perm = essential.permutation_from_family(family)  # validates
+        else:
+            essential.validated(family)
         direct = essential.rank_from_family(family, interval)
         if args.both:
-            via_perm = essential.permutation_from_family(family).rank_interval(
-                interval
-            )
+            via_perm = perm.rank_interval(interval)
             if direct != via_perm:
                 raise AssertionError(
                     f"rank disagreement: family {direct}, permutation {via_perm}"
@@ -179,10 +174,7 @@ def _cmd_retrieve(args) -> int:
                 print(_dump(event.to_json()))
         print(f"error: {e.kind}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if args.format == "json":
-        print(_dump(perm.to_json()))
-    else:
-        print(" ".join(str(v) for v in perm.window))
+    _print_window(args.format, perm.n, list(perm.window))
     return EXIT_OK
 
 
@@ -208,10 +200,13 @@ def _cmd_codim(args) -> int:
             print(value, other)
             return EXIT_OK
     else:
-        _validated(family)
+        if args.both:
+            perm = essential.permutation_from_family(family)  # validates
+        else:
+            essential.validated(family)
         value = geometry.codim_from_family(family)
         if args.both:
-            other = geometry.length(essential.permutation_from_family(family))
+            other = geometry.length(perm)
             if value != other:
                 raise AssertionError(f"codim disagreement: {value} vs {other}")
             print(value, other)
@@ -221,7 +216,7 @@ def _cmd_codim(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
-    family = _validated(_load_family(_read_json(args.input)))
+    family = essential.validated(_load_family(_read_json(args.input)))
     system = geometry.facet_system(family)
     if args.h_rep or args.format == "text":
         print(system.h_rep_text())
@@ -230,34 +225,21 @@ def _cmd_polytope(args) -> int:
     return EXIT_OK
 
 
-def _bases_shard(family_json: dict, first: int) -> list[tuple[int, ...]]:
-    family = essential.RankedEssentialFamily.from_json(family_json)
-    n, k = family.n, family.k
-    caps = [
-        (iv.mask(), essential.rank_from_family(family, iv))
-        for iv in geometry._all_intervals(n)
-        if not iv.is_full
-    ]
-    out = []
-    for rest in combinations(range(first + 1, n + 1), k - 1):
-        subset = (first, *rest)
-        mask = 0
-        for e in subset:
-            mask |= 1 << (e - 1)
-        if all((mask & imask).bit_count() <= cap for imask, cap in caps):
-            out.append(subset)
-    return out
+def _sharded(jobs: int, func, firsts: range, *args) -> list:
+    """The concatenation of func(*args, first=f) over firsts, in order, on
+    at most min(jobs, CPUs, shards) worker processes."""
+    workers = max(1, min(jobs, os.cpu_count() or 1, len(firsts)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(func, *args, first=f) for f in firsts]
+        return [item for future in futures for item in future.result()]
 
 
 def _cmd_bases(args) -> int:
-    family = _validated(_load_family(_read_json(args.input)))
-    if args.jobs > 1 and family.k > 0:
-        shards = range(1, family.n - family.k + 2)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(
-                _bases_shard, [family.to_json()] * len(shards), shards
-            )
-        found = [b for shard in results for b in shard]
+    family = essential.validated(_load_family(_read_json(args.input)))
+    n, k = family.n, family.k
+    if args.jobs > 1 and k > 0:
+        geometry.TooLarge.check(n, geometry.BASES_BOUND)
+        found = _sharded(args.jobs, geometry.bases, range(1, n - k + 2), family)
     else:
         found = geometry.bases(family)
     if args.format == "json":
@@ -273,14 +255,8 @@ def _cmd_from_matrix(args) -> int:
         matrix = realize.RationalMatrix.from_json(_read_json(args.input))
     except (KeyError, TypeError, ValueError) as e:
         raise _Malformed(f"bad matrix: {e}")
-    if args.check_nonneg and not realize.is_positively_realizing(matrix):
-        print("error: matrix has a negative maximal minor", file=sys.stderr)
-        return EXIT_MALFORMED
     perm = realize.permutation_from_matrix(matrix)
-    if args.format == "json":
-        print(_dump(perm.to_json()))
-    else:
-        print(" ".join(str(v) for v in perm.window))
+    _print_window(args.format, perm.n, list(perm.window))
     return EXIT_OK
 
 
@@ -291,14 +267,8 @@ def _enumerate_shard(n: int, k: int | None, first: int) -> list[list[int]]:
 def _cmd_enumerate(args) -> int:
     n, k = args.n, args.k
     if args.jobs > 1:
-        shards = range(1, n + 2)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(
-                _enumerate_shard, [n] * (n + 1), [k] * (n + 1), shards
-            )
-        for shard in results:
-            for window in shard:
-                _print_window(args.format, n, window)
+        for window in _sharded(args.jobs, _enumerate_shard, range(1, n + 2), n, k):
+            _print_window(args.format, n, window)
     else:
         for p in enumerate_permutations(n, k=k):
             _print_window(args.format, n, list(p.window))
@@ -308,9 +278,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_rank2(args) -> int:
     obj = _read_json(args.input)
     try:
-        n = int(obj["n"])
-        classes = [[int(e) for e in cls] for cls in obj["classes"]]
-        loops = [int(e) for e in obj.get("loops", [])]
+        n = json_int(obj["n"])
+        classes = [[json_int(e) for e in cls] for cls in obj["classes"]]
+        loops = [json_int(e) for e in obj.get("loops", [])]
         verdict = smallrank.is_positroid_rank2(n, classes, loops)
     except (smallrank.NotRank2, smallrank.HasLoop) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -376,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = add("from-matrix", _cmd_from_matrix, "permutation of a realized positroid")
-    p.add_argument("--check-nonneg", action="store_true")
+    p.add_argument("--check-nonneg", action="store_true",
+                   help="kept for compatibility: the minor-sign check always runs")
 
     p = add("enumerate", _cmd_enumerate, "stream all bounded affine permutations",
             with_input=False)

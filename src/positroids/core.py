@@ -38,6 +38,14 @@ class NotBijective(ValueError):
         super().__init__(f"window values at positions {i} and {j} collide mod n")
 
 
+def json_int(value) -> int:
+    """An integer read from parsed JSON; floats, bools and strings are
+    refused rather than truncated or parsed."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value.__index__()
+
+
 def residue(x: int, n: int) -> int:
     """Representative of x mod n in [1, n]."""
     return (x - 1) % n + 1
@@ -110,11 +118,7 @@ class CyclicInterval:
 
     @classmethod
     def from_json(cls, n: int, obj: dict) -> "CyclicInterval":
-        return cls(n, int(obj["start"]), int(obj["len"]))
-
-
-def interval_mask(n: int, start: int, length: int) -> int:
-    return CyclicInterval(n, start, length).mask()
+        return cls(n, json_int(obj["start"]), json_int(obj["len"]))
 
 
 def mask_to_interval(n: int, mask: int) -> CyclicInterval | None:
@@ -151,9 +155,6 @@ class CyclicOrder:
     def lt(self, a: int, b: int) -> bool:
         return self.key(a) < self.key(b)
 
-    def le(self, a: int, b: int) -> bool:
-        return self.key(a) <= self.key(b)
-
     def min(self, items: Iterable[int]) -> int:
         return min(items, key=self.key)
 
@@ -184,7 +185,7 @@ class BoundedAffinePermutation:
     @classmethod
     def from_window(cls, values: Iterable[int]) -> "BoundedAffinePermutation":
         """Validate and build; raises BoundViolation or NotBijective."""
-        window = tuple(int(v) for v in values)
+        window = tuple(json_int(v) for v in values)
         n = len(window)
         if n == 0:
             raise ValueError("window must be non-empty")
@@ -240,7 +241,7 @@ class BoundedAffinePermutation:
     @classmethod
     def from_json(cls, obj: dict) -> "BoundedAffinePermutation":
         window = obj["window"]
-        if "n" in obj and int(obj["n"]) != len(window):
+        if "n" in obj and json_int(obj["n"]) != len(window):
             raise ValueError("declared n does not match window length")
         return cls.from_window(window)
 

@@ -19,9 +19,7 @@ T(i, m) count its dependencies.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from .core import BoundedAffinePermutation, CyclicInterval, residue
+from .core import BoundedAffinePermutation, CyclicInterval
 from .essential import RankedEssentialFamily
 
 Square = tuple[int, int]
@@ -32,104 +30,17 @@ def dots(p: BoundedAffinePermutation) -> tuple[Square, ...]:
     return tuple((i, p.eval(i) - i + 1) for i in range(1, p.n + 1))
 
 
-def _band_offsets(n: int, row: int, anchor_row: int, height: int):
-    """Offsets t with anchor_row + t = row mod n and 0 <= t <= height - 1."""
-    t = (row - anchor_row) % n
-    while t <= height - 1:
-        yield t
-        t += n
-
-
-def region_P(n: int, sq: Square) -> Callable[[Square], bool]:
-    """Membership predicate for the wedge P at ``sq`` (rows taken mod n)."""
-    i, m = sq
-
-    def member(other: Square) -> bool:
-        row, col = other
-        if not 1 <= col <= n + 1:
-            return False
-        return any(col > m - t for t in _band_offsets(n, row, i, m))
-
-    return member
-
-
-def region_T(n: int, sq: Square) -> Callable[[Square], bool]:
-    """Membership predicate for the triangle T at ``sq`` (rows taken mod n)."""
-    i, m = sq
-
-    def member(other: Square) -> bool:
-        row, col = other
-        if not 1 <= col <= n + 1:
-            return False
-        return any(col <= m - t for t in _band_offsets(n, row, i, m))
-
-    return member
-
-
-def sub_antidiagonal(n: int, sq: Square) -> set[Square]:
-    """The squares (i + l, j - l) for 0 < l < j, rows reduced mod n."""
-    i, j = sq
-    return {(residue(i + l, n), j - l) for l in range(1, j)}
-
-
-def count_dots_in_P(p: BoundedAffinePermutation, sq: Square) -> int:
-    member = region_P(p.n, sq)
-    return sum(1 for d in dots(p) if member(d))
-
-
-def count_dots_in_T(p: BoundedAffinePermutation, sq: Square) -> int:
-    member = region_T(p.n, sq)
-    return sum(1 for d in dots(p) if member(d))
-
-
-def shaded_set(p: BoundedAffinePermutation) -> set[Square]:
-    """All shaded squares, by the shading rule applied to every dot.
-
-    Each dot shades the squares strictly to its left in its own row and
-    the squares on its sub-antidiagonal.  This follows the geometric
-    construction literally; it is the cross-check for corners(), which
-    uses arithmetic instead.
-    """
-    n = p.n
-    shaded: set[Square] = set()
-    for i, c in dots(p):
-        shaded.update((i, c2) for c2 in range(1, c))
-        shaded.update(sub_antidiagonal(n, (i, c)))
-    return shaded
-
-
 def is_white(p: BoundedAffinePermutation, row: int, col: int) -> bool:
     """White test for a single square, on lifts (no set construction).
 
-    The square (row, col) sits on the antidiagonal holding exactly one
-    dot; it is white iff its own row's dot is not strictly to its right
-    and the antidiagonal's dot is not strictly above it.
+    Each dot shades the squares strictly to its left in its own row and
+    the squares on its sub-antidiagonal.  The square (row, col) sits on
+    the antidiagonal holding exactly one dot; it is white iff its own
+    row's dot is not strictly to its right and the antidiagonal's dot is
+    not strictly above it.
     """
     v = row + col - 1
     return p.eval(row) <= v and p.inverse_at(v) >= row
-
-
-def geometric_corners(p: BoundedAffinePermutation) -> list[Square]:
-    """Corners read off the shaded diagram: white squares whose upper,
-    right, and upper-right neighbours are all non-white (rows periodic,
-    squares beyond column n+1 nonexistent)."""
-    n = p.n
-    shaded = shaded_set(p)
-
-    def white(row: int, col: int) -> bool:
-        return col <= n + 1 and (residue(row, n), col) not in shaded
-
-    found = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 2):
-            if (
-                white(i, j)
-                and not white(i - 1, j)
-                and not white(i, j + 1)
-                and not white(i - 1, j + 1)
-            ):
-                found.append((i, j))
-    return found
 
 
 def corners(p: BoundedAffinePermutation) -> list[Square]:
@@ -171,7 +82,6 @@ def ranked_essential_family(p: BoundedAffinePermutation) -> RankedEssentialFamil
 def render(p: BoundedAffinePermutation) -> str:
     """Text rendering: '.' white, '#' shaded, 'o' dot, with headers."""
     n = p.n
-    shaded = shaded_set(p)
     dot_cols = {i: c for i, c in dots(p)}
     width = len(str(n + 1))
     lines = [" " * (width + 1) + " ".join(f"{c:>{width}}" for c in range(1, n + 2))]
@@ -180,7 +90,7 @@ def render(p: BoundedAffinePermutation) -> str:
         for j in range(1, n + 2):
             if dot_cols[i] == j:
                 cells.append("o")
-            elif (i, j) in shaded:
+            elif not is_white(p, i, j):
                 cells.append("#")
             else:
                 cells.append(".")

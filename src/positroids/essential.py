@@ -19,9 +19,11 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
+    json_int,
     mask_to_interval,
     residue,
 )
+from .retrieval import conditions_from_family, retrieve
 
 Entry = tuple[int, CyclicInterval]
 
@@ -114,20 +116,15 @@ class RankedEssentialFamily:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RankedEssentialFamily":
-        n = int(obj["n"])
-        k = int(obj["k"])
+        n = json_int(obj["n"])
+        k = json_int(obj["k"])
         entries = [
-            (int(s["rank"]), CyclicInterval.from_json(n, s)) for s in obj["sets"]
+            (json_int(s["rank"]), CyclicInterval.from_json(n, s))
+            for s in obj["sets"]
         ]
         if not any(iv.is_full for _, iv in entries):
             entries.append((k, CyclicInterval.full(n)))
         return cls.build(n, k, entries)
-
-
-def from_permutation(p: BoundedAffinePermutation) -> RankedEssentialFamily:
-    from . import diagram
-
-    return diagram.ranked_essential_family(p)
 
 
 def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) -> int:
@@ -245,10 +242,6 @@ def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     return _canonical(e for e in family.entries if table[e[1]] > 0)
 
 
-def _arc(n: int, start: int, end: int) -> CyclicInterval:
-    return CyclicInterval.from_endpoints(n, start, end)
-
-
 def _gap_between(n: int, a: CyclicInterval, b: CyclicInterval) -> CyclicInterval | None:
     """Interval strictly between a's end and b's start, None when adjacent."""
     gap_len = (b.start - a.end - 1) % n
@@ -260,7 +253,8 @@ def _gap_between(n: int, a: CyclicInterval, b: CyclicInterval) -> CyclicInterval
 def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     """Check the three essential-set axioms; empty list means valid.
 
-    E1  every proper entry has 0 <= r < |I| and 0 < k - r <= n - |I|.
+    E1  k <= n, and every proper entry has 0 <= r < |I| and
+        0 < k - r <= n - |I|.
     E2  nested entries have strictly increasing rank, with the increase
         strictly below the size difference (non-strict against [1, n]).
     E3  the cyclic submodular inequalities for disjoint and overlapping
@@ -274,8 +268,12 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     masks = family._masks
 
     # E1
-    for (r, iv), mask in zip(entries, masks):
+    for r, iv in entries:
         if iv.is_full:
+            if r > n:
+                violations.append(
+                    Violation("E1", ((r, iv),), f"k <= n fails: {r} > {n}")
+                )
             continue
         if r >= iv.length:
             violations.append(
@@ -384,7 +382,7 @@ def _check_e3_disjoint(
     """Case of disjoint intervals, oriented e1 then gap then e2."""
     n = family.n
     (r1, iv1), (r2, iv2) = e1, e2
-    arc = _arc(n, iv1.start, iv2.end)
+    arc = CyclicInterval.from_endpoints(n, iv1.start, iv2.end)
     gap = _gap_between(n, iv1, iv2)
     covers = _covering_minimal(family, arc)
     if not covers:
@@ -446,7 +444,7 @@ def _check_e3_overlap(
     """Case of one-sided overlap: e2 starts inside e1 and ends outside."""
     n = family.n
     (r1, iv1), (r2, iv2) = e1, e2
-    union_arc = _arc(n, iv1.start, iv2.end)
+    union_arc = CyclicInterval.from_endpoints(n, iv1.start, iv2.end)
     covers = _covering_minimal(family, union_arc)
     if not covers:
         return [
@@ -465,17 +463,19 @@ def _check_e3_overlap(
     return out
 
 
-def is_valid(family: RankedEssentialFamily) -> bool:
-    return not validate_chess(family)
+def validated(family: RankedEssentialFamily) -> RankedEssentialFamily:
+    """The family itself if it passes the axioms, else NotValidated."""
+    violations = validate_chess(family)
+    if violations:
+        raise NotValidated(violations)
+    return family
 
 
 def rank_function_from_axioms(
     family: RankedEssentialFamily,
 ) -> Callable[[CyclicInterval], int]:
     """The rank function induced by a family passing the chess axioms."""
-    violations = validate_chess(family)
-    if violations:
-        raise NotValidated(violations)
+    validated(family)
     return lambda interval: rank_from_family(family, interval)
 
 
@@ -484,28 +484,9 @@ def permutation_from_family(
 ) -> BoundedAffinePermutation:
     """The bounded affine permutation of the unique positroid with this family.
 
+    It is retrieved from the family's rank conditions, and it satisfies:
     pi(i) is the least j >= i with rank [i, j] = rank [i+1, j], where the
     right side is 0 at j = i and intervals of n or more elements read as
     the full set.
     """
-    violations = validate_chess(family)
-    if violations:
-        raise NotValidated(violations)
-    n, k = family.n, family.k
-
-    def rank_arc(start: int, end: int) -> int:
-        if end < start:
-            return 0
-        if end - start + 1 >= n:
-            return k
-        return rank_from_family(
-            family, CyclicInterval(n, residue(start, n), end - start + 1)
-        )
-
-    window = []
-    for i in range(1, n + 1):
-        for j in range(i, i + n + 1):
-            if rank_arc(i, j) == rank_arc(i + 1, j):
-                window.append(j)
-                break
-    return BoundedAffinePermutation.from_window(window)
+    return retrieve(conditions_from_family(validated(family)))

@@ -1,6 +1,6 @@
 """
-Geometric quantities of a positroid: cell codimension, polytope facets,
-basis enumeration, and exported variety rank conditions.
+Geometric quantities of a positroid: cell codimension, polytope facets
+(which are also the variety's rank conditions) and basis enumeration.
 
 The codimension of a positroid cell equals the inversion length of its
 bounded affine permutation; it can also be assembled from the family as
@@ -25,6 +25,14 @@ from .essential import (
 
 class TooLarge(ValueError):
     """Enumeration refused beyond the configured desk-scale bound."""
+
+    @classmethod
+    def check(cls, n: int, bound: int) -> None:
+        if n > bound:
+            raise cls(f"n={n} exceeds bound {bound}")
+
+
+BASES_BOUND = 16
 
 
 def length(p: BoundedAffinePermutation) -> int:
@@ -98,17 +106,12 @@ class FacetSystem:
 
 
 def facet_system(family: RankedEssentialFamily) -> FacetSystem:
+    """The polytope's facets; read as rank(I) <= r, its inequalities are
+    also the rank conditions defining the positroid variety."""
     ineqs = tuple(
         (iv, r) for r, iv in connected_entries(family) if not iv.is_full
     )
     return FacetSystem(family.n, family.k, ineqs)
-
-
-def variety_conditions(
-    family: RankedEssentialFamily,
-) -> tuple[tuple[CyclicInterval, int], ...]:
-    """Rank conditions rank(I) <= r defining the positroid variety."""
-    return tuple((iv, r) for r, iv in connected_entries(family) if not iv.is_full)
 
 
 def _all_intervals(n: int) -> list[CyclicInterval]:
@@ -119,21 +122,30 @@ def _all_intervals(n: int) -> list[CyclicInterval]:
     return out
 
 
-def bases(family: RankedEssentialFamily, bound: int = 16) -> list[tuple[int, ...]]:
+def bases(
+    family: RankedEssentialFamily, bound: int = BASES_BOUND, first: int | None = None
+) -> list[tuple[int, ...]]:
     """All bases of the positroid: k-subsets meeting every interval rank cap.
 
-    Returned sorted lexicographically as tuples of elements of [n].
+    Returned sorted lexicographically as tuples of elements of [n].  With
+    first given (and k >= 1), only the bases whose least element it is:
+    the lex shards used for parallel enumeration.
     """
     n, k = family.n, family.k
-    if n > bound:
-        raise TooLarge(f"n={n} exceeds bound {bound}")
+    TooLarge.check(n, bound)
     caps = [
         (iv.mask(), rank_from_family(family, iv))
         for iv in _all_intervals(n)
         if not iv.is_full
     ]
+    if first is None:
+        subsets = combinations(range(1, n + 1), k)
+    else:
+        subsets = (
+            (first, *rest) for rest in combinations(range(first + 1, n + 1), k - 1)
+        )
     out = []
-    for subset in combinations(range(1, n + 1), k):
+    for subset in subsets:
         mask = 0
         for e in subset:
             mask |= 1 << (e - 1)
@@ -159,8 +171,7 @@ def codim1_boundary_count(p: BoundedAffinePermutation, bound: int = 9) -> int:
     from .core import enumerate_permutations
 
     n = p.n
-    if n > bound:
-        raise TooLarge(f"n={n} exceeds bound {bound}")
+    TooLarge.check(n, bound)
     k = p.rank()
     target = length(p) + 1
     intervals = _all_intervals(n)

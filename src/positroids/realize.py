@@ -2,8 +2,10 @@
 Exact-rational realization oracle: from a matrix over Q to its matroid,
 positivity verdict, and bounded affine permutation.
 
-Everything here is exact Fraction arithmetic; sign-of-minor decisions are
-the whole point, so no floating point appears anywhere in this module.
+Everything here is exact: columns are scaled to integers and one
+fraction-free elimination gives ranks, spans and the signs of minors;
+sign-of-minor decisions are the whole point, so no floating point
+appears anywhere in this module.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from typing import Iterable, Iterator
 
-from .core import BoundedAffinePermutation
+from .core import BoundedAffinePermutation, json_int
 from .geometry import TooLarge
 
 
@@ -61,123 +65,119 @@ class RationalMatrix:
         entries = tuple(
             tuple(Fraction(str(x)) for x in row) for row in obj["entries"]
         )
-        m = cls(int(obj["k"]), int(obj["n"]), entries)
-        return m
+        return cls(json_int(obj["k"]), json_int(obj["n"]), entries)
 
 
-def _det(columns: list[tuple[Fraction, ...]]) -> Fraction:
-    """Determinant of the square matrix with the given columns, by elimination."""
-    k = len(columns)
-    m = [[columns[j][i] for j in range(k)] for i in range(k)]
-    det = Fraction(1)
-    for c in range(k):
-        pivot_row = next((r for r in range(c, k) if m[r][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, k):
-            factor = m[r][c] * inv
+def _integer_columns(matrix: RationalMatrix) -> list[list[int]]:
+    """Each column times the positive lcm of its denominators, which keeps
+    every span and the sign of every minor."""
+    out = []
+    for j in range(1, matrix.n + 1):
+        col = matrix.column(j)
+        scale = lcm(*(x.denominator for x in col))
+        out.append([x.numerator * (scale // x.denominator) for x in col])
+    return out
+
+
+def _eliminate(vectors: Iterable[list[int]]) -> Iterator[tuple[int, int] | None]:
+    """Fraction-free integer elimination, one vector at a time.
+
+    Yields None for a vector in the span of the ones before it, and
+    otherwise (pivot, sign): each vector v is reduced to w = c*v plus a
+    combination of earlier vectors, with zeros at the earlier pivots and
+    before its own; sign is that of c times w[pivot].  A minor of
+    independent columns therefore has the sign of the pivot permutation
+    times the product of the signs.
+    """
+    rows: list[tuple[int, list[int]]] = []
+    for vec in vectors:
+        sign = 1
+        for piv, row in rows:
+            factor = vec[piv]
             if factor:
-                for cc in range(c, k):
-                    m[r][cc] -= factor * m[c][cc]
-    return det
-
-
-def _rank(columns: list[tuple[Fraction, ...]], k: int) -> int:
-    m = [list(col) for col in columns]
-    rank = 0
-    for c in range(k):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if pivot is None:
+                lead = row[piv]
+                if lead < 0:
+                    sign = -sign
+                vec = [lead * a - factor * b for a, b in zip(vec, row)]
+        piv = next((c for c, x in enumerate(vec) if x), None)
+        if piv is None:
+            yield None
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][c]
-        for r in range(rank + 1, len(m)):
-            if m[r][c]:
-                factor = m[r][c] / lead
-                for cc in range(c, k):
-                    m[r][cc] -= factor * m[rank][cc]
-        rank += 1
-    return rank
+        g = gcd(*vec)
+        vec = [x // g for x in vec]
+        rows.append((piv, vec))
+        yield piv, sign if vec[piv] > 0 else -sign
+
+
+def _full_rank_columns(matrix: RationalMatrix) -> list[list[int]]:
+    cols = _integer_columns(matrix)
+    if sum(step is not None for step in _eliminate(cols)) < matrix.k:
+        raise NotFullRank("matrix does not have full row rank")
+    return cols
+
+
+def _minor_sign(cols: list[list[int]], subset: tuple[int, ...]) -> int:
+    """Sign (-1, 0 or 1) of the maximal minor on the columns in subset."""
+    pivots, sign = [], 1
+    for step in _eliminate(cols[j - 1] for j in subset):
+        if step is None:
+            return 0
+        pivots.append(step[0])
+        sign *= step[1]
+    inversions = sum(a > b for a, b in combinations(pivots, 2))
+    return -sign if inversions % 2 else sign
 
 
 def matroid_bases(matrix: RationalMatrix, bound: int = 12) -> list[tuple[int, ...]]:
     """Column sets with nonzero maximal minor, sorted lexicographically."""
-    if matrix.n > bound:
-        raise TooLarge(f"n={matrix.n} exceeds bound {bound}")
-    cols = [matrix.column(j) for j in range(1, matrix.n + 1)]
-    if _rank(cols, matrix.k) < matrix.k:
-        raise NotFullRank("matrix does not have full row rank")
+    TooLarge.check(matrix.n, bound)
+    cols = _full_rank_columns(matrix)
     return [
         subset
         for subset in combinations(range(1, matrix.n + 1), matrix.k)
-        if _det([cols[j - 1] for j in subset]) != 0
+        if _minor_sign(cols, subset)
     ]
 
 
 def is_positively_realizing(matrix: RationalMatrix) -> bool:
     """True iff every maximal minor (columns in increasing order) is >= 0."""
-    cols = [matrix.column(j) for j in range(1, matrix.n + 1)]
+    cols = _integer_columns(matrix)
     return all(
-        _det([cols[j - 1] for j in subset]) >= 0
+        _minor_sign(cols, subset) >= 0
         for subset in combinations(range(1, matrix.n + 1), matrix.k)
     )
-
-
-class _Eliminator:
-    """Incremental exact row echelon over a growing column set."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.rows: list[list[Fraction]] = []  # echelon rows, pivots leftmost
-        self.pivots: list[int] = []
-
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        for row, piv in zip(self.rows, self.pivots):
-            if vec[piv]:
-                factor = vec[piv] / row[piv]
-                for c in range(self.k):
-                    vec[c] -= factor * row[c]
-        return vec
-
-    def add(self, column) -> None:
-        vec = self._reduce(list(column))
-        piv = next((c for c in range(self.k) if vec[c] != 0), None)
-        if piv is not None:
-            self.rows.append(vec)
-            self.pivots.append(piv)
-
-    def spans(self, column) -> bool:
-        return all(x == 0 for x in self._reduce(list(column)))
 
 
 def permutation_from_matrix(matrix: RationalMatrix) -> BoundedAffinePermutation:
     """The bounded affine permutation of the positroid realized by the matrix.
 
-    pi(i) is the least j >= i with column i in the span of columns
-    i+1, ..., j (indices mod n); a zero column is a loop with pi(i) = i
-    and a column outside the span of all others is a coloop.
+    pi(i) is the least j >= i with rank [i, j] = rank [i+1, j], i.e. with
+    column i in the span of columns i+1, ..., j (indices mod n); a zero
+    column is a loop with pi(i) = i and a column outside the span of all
+    others is a coloop.
     """
     n, k = matrix.n, matrix.k
-    cols = [matrix.column(j) for j in range(1, n + 1)]
-    if _rank(cols, k) < k:
-        raise NotFullRank("matrix does not have full row rank")
+    cols = _full_rank_columns(matrix)
     if not is_positively_realizing(matrix):
         raise NotNonNegative("matrix has a negative maximal minor")
-    window = []
-    for i in range(1, n + 1):
-        target = cols[i - 1]
-        if all(x == 0 for x in target):
-            window.append(i)
-            continue
-        elim = _Eliminator(k)
-        for j in range(i + 1, i + n + 1):
-            elim.add(cols[(j - 1) % n])
-            if elim.spans(target):
-                window.append(j)
-                break
+    # prefix[s][t]: rank of the t + 1 columns s + 1, ..., s + t + 1 (cyclically)
+    prefix = []
+    for s in range(n):
+        ranks, r = [], 0
+        for step in _eliminate(cols[(s + t) % n] for t in range(n)):
+            r += step is not None
+            ranks.append(r)
+        prefix.append(ranks)
+
+    def rank_arc(start: int, end: int) -> int:
+        if end < start:
+            return 0
+        if end - start + 1 >= n:
+            return k
+        return prefix[(start - 1) % n][end - start]
+
+    window = [
+        next(j for j in range(i, i + n + 1) if rank_arc(i, j) == rank_arc(i + 1, j))
+        for i in range(1, n + 1)
+    ]
     return BoundedAffinePermutation.from_window(window)

@@ -8,7 +8,8 @@ Conditions are processed in ascending label order; each one forces dots
 into its triangle T(i, j) until the dependency count is high enough, and
 a final pass fills every remaining row at the full rank.  The run either
 produces a maximal proper dotting, whose rows read off the permutation
-via pi(i) = i + col - 1, or fails with a typed InvalidInput.
+via pi(i) = i + col - 1 and whose permutation meets every condition, or
+fails with a typed InvalidInput.
 
 Success is possible iff some positroid matches every condition exactly
 and its core is contained in the supplied conditions; the output is then
@@ -25,6 +26,7 @@ from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
     CyclicOrder,
+    json_int,
     residue,
 )
 
@@ -58,6 +60,8 @@ class RankConditionSet:
     conditions: tuple[tuple[int, Square], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"ground set size must be positive, got {self.n}")
         seen: dict[Square, int] = {}
         for r, (i, j) in self.conditions:
             if r < 0:
@@ -96,9 +100,9 @@ class RankConditionSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RankConditionSet":
-        n = int(obj["n"])
+        n = json_int(obj["n"])
         conds = tuple(
-            (int(c["rank"]), (int(c["start"]), int(c["len"])))
+            (json_int(c["rank"]), (json_int(c["start"]), json_int(c["len"])))
             for c in obj["conditions"]
         )
         return cls(n, conds)
@@ -137,17 +141,6 @@ class ProperDotting:
         for t in range(min(m, self.n)):
             col = self.cols.get(residue(i + t, self.n))
             if col is not None and col <= m - t:
-                count += 1
-        return count
-
-    def r(self, sq: Square) -> int:
-        """Dots in the wedge P at ``sq``; for P the highest lift is weakest."""
-        i, m = sq
-        count = 0
-        for t in range(min(m, self.n)):
-            t_eff = t + self.n if t + self.n <= m - 1 else t
-            col = self.cols.get(residue(i + t, self.n))
-            if col is not None and col > m - t_eff:
                 count += 1
         return count
 
@@ -240,12 +233,11 @@ def retrieve(
 
     if not (dotting.is_maximal() and dotting.is_proper()):
         fail(NOT_PROPER)
+    perm = BoundedAffinePermutation.from_window(dotting.window())
     for r, (i, j) in ordered:
-        got = dotting.r((i, j))
+        got = perm.rank_interval(CyclicInterval(n, i, j))
         if got != r:
             fail(RANK_MISMATCH, row=i, col=j, expected=r, actual=got)
-
-    perm = BoundedAffinePermutation.from_window(dotting.window())
     return (perm, log) if trace else perm
 
 

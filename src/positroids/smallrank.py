@@ -49,8 +49,7 @@ def deficient_flats(
 ) -> DeficientFlatFamily:
     """All deficient flats of the positroid, computed from its bases."""
     n = family.n
-    if n > bound:
-        raise TooLarge(f"n={n} exceeds bound {bound}")
+    TooLarge.check(n, bound)
     basis_masks = []
     for b in bases(family, bound=bound):
         m = 0

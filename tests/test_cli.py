@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
+from positroids import cli, essential, realize
 from positroids.cli import main
 from positroids.core import count_permutations
 
@@ -192,6 +194,135 @@ class TestFromMatrix:
         })
         code, _, err = run(["from-matrix", path, "--check-nonneg"], capsys)
         assert code == 1 and "negative" in err
+
+
+    def test_nonneg_check_runs_once(self, write_json, capsys, monkeypatch):
+        calls = []
+        check = realize.is_positively_realizing
+        monkeypatch.setattr(
+            realize, "is_positively_realizing", lambda m: calls.append(m) or check(m)
+        )
+        path = write_json("m.json", {"k": 2, "n": 3, "entries": [[1, 1, 0], [0, 1, 1]]})
+        code, _, _ = run(["from-matrix", path, "--check-nonneg"], capsys)
+        assert code == 0 and len(calls) == 1
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    submitted calls in this process, so no worker is ever started."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, func, *args, **kwargs):
+        future = Future()
+        future.set_result(func(*args, **kwargs))
+        return future
+
+
+class TestJobs:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        _RecordingPool.built = []
+        return _RecordingPool.built
+
+    @pytest.mark.parametrize(
+        "jobs, workers", [(2, 2), (3, 3), (1000, 4)]
+    )
+    def test_enumerate_workers_clamped_to_cpus(self, pool, capsys, jobs, workers):
+        _, serial, _ = run(["enumerate", "--n", "4"], capsys)
+        code, out, _ = run(["enumerate", "--n", "4", "--jobs", str(jobs)], capsys)
+        assert code == 0 and out == serial
+        assert pool == [workers]
+
+    def test_bases_workers_clamped_to_shards(self, pool, write_json, capsys):
+        # k = 3 on n = 4 leaves two shards: least element 1 or 2
+        path = write_json("f.json", {"n": 4, "k": 3, "sets": []})
+        code, out, _ = run(["bases", path, "--jobs", "1000"], capsys)
+        assert code == 0 and len(json.loads(out)) == 4
+        assert pool == [2]
+
+    def test_cpu_count_unknown_means_one_worker(self, pool, monkeypatch, capsys):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        run(["enumerate", "--n", "3", "--jobs", "8"], capsys)
+        assert pool == [1]
+
+    def test_bases_bound_holds_when_sharded(self, pool, write_json, capsys):
+        path = write_json("f.json", {"n": 17, "k": 1, "sets": []})
+        for argv in (["bases", path], ["bases", path, "--jobs", "2"]):
+            code, out, err = run(argv, capsys)
+            assert code == 1 and out == ""
+            assert "n=17 exceeds bound 16" in err
+        assert pool == []
+
+
+class TestFamilyValidatedOnce:
+    @pytest.mark.parametrize(
+        "argv", [["codim", "--both"], ["rank", "--interval", "2,4", "--both"]]
+    )
+    def test_both_routes(self, write_json, capsys, monkeypatch, argv):
+        calls = []
+        validate = essential.validate_chess
+        monkeypatch.setattr(
+            essential, "validate_chess", lambda F: calls.append(F) or validate(F)
+        )
+        path = write_json("f.json", FAMILY_A)
+        code, _, _ = run([argv[0], path, *argv[1:]], capsys)
+        assert code == 0 and len(calls) == 1
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["essentials"], {"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13.5]}),
+            (["essentials"], {"n": 8.0, "window": [3, 4, 8, 7, 6, 9, 10, 13]}),
+            (["diagram"], {"n": 3, "window": [1, True, 3]}),
+            (["essentials"], {"n": 3, "window": [1, "2", 3]}),
+            (["validate"], {**FAMILY_A, "k": 3.0}),
+            (["validate"], {"n": 8, "k": 3, "sets": [{"rank": 1, "start": 5, "len": 2.5}]}),
+            (["polytope"], {"n": 8, "k": 3, "sets": [{"rank": "1", "start": 5, "len": 2}]}),
+            (["retrieve"], {"n": 5.0, "conditions": ALG_CONDITIONS["conditions"]}),
+            (["retrieve"], {"n": 5, "conditions": [{"rank": 3, "start": 1, "len": True}]}),
+            (["from-matrix"], {"k": 1.0, "n": 2, "entries": [[1, 2]]}),
+            (["from-matrix"], {"k": 1, "n": "2", "entries": [[1, 2]]}),
+            (["rank2"], {"n": 5, "classes": [[1, 2.0], [3], [4, 5]]}),
+            (["rank2"], {"n": 5, "classes": [[1, 2], [3], [4]], "loops": [5.5]}),
+        ],
+    )
+    def test_non_integer_numbers_rejected(self, write_json, capsys, argv, doc):
+        path = write_json("in.json", doc)
+        code, out, err = run([argv[0], path, *argv[1:]], capsys)
+        assert code == 1 and out == ""
+        assert "expected an integer" in err
+
+    def test_matrix_entries_keep_rational_forms(self, write_json, capsys):
+        path = write_json("m.json", {"k": 1, "n": 3, "entries": [[0.5, "3/2", 2]]})
+        code, out, _ = run(["from-matrix", path], capsys)
+        assert code == 0 and json.loads(out)["window"] == [2, 3, 4]
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_retrieve_empty_ground_set_is_malformed(self, write_json, capsys, n):
+        path = write_json("c.json", {"n": n, "conditions": []})
+        code, _, err = run(["retrieve", path], capsys)
+        assert code == 1 and "ground set size must be positive" in err
+
+    def test_k_above_n_fails_validation(self, write_json, capsys):
+        path = write_json("f.json", {"n": 3, "k": 5, "sets": []})
+        code, out, _ = run(["validate", path], capsys)
+        assert code == 3 and out.startswith("E1: k <= n fails")
+        code, out, err = run(["codim", path, "--both"], capsys)
+        assert code == 3 and out == "" and err.startswith("E1")
 
 
 class TestEnumerate:

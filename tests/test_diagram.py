@@ -7,6 +7,8 @@ from positroids.core import (
 )
 from positroids import diagram
 
+import diagram_reference as reference
+
 ALG_EXAMPLE = BoundedAffinePermutation.from_window([5, 6, 4, 7, 8])
 
 
@@ -18,21 +20,21 @@ def test_dots(perm_a):
 
 class TestRegions:
     def test_p_region_counts(self, perm_a):
-        assert diagram.count_dots_in_P(perm_a, (4, 4)) == 2
-        assert diagram.count_dots_in_P(ALG_EXAMPLE, (1, 5)) == 3
+        assert reference.count_dots_in_P(perm_a, (4, 4)) == 2
+        assert reference.count_dots_in_P(ALG_EXAMPLE, (1, 5)) == 3
 
     def test_p_of_height_one_is_rest_of_row(self):
-        member = diagram.region_P(6, (3, 1))
+        member = reference.region_P(6, (3, 1))
         assert all(member((3, c)) for c in range(2, 8))
         assert not member((3, 1))
         assert not member((4, 5))
 
     def test_t_region_counts(self, perm_a):
-        assert diagram.count_dots_in_T(ALG_EXAMPLE, (1, 5)) == 2
-        assert diagram.count_dots_in_T(perm_a, (4, 4)) == 2
+        assert reference.count_dots_in_T(ALG_EXAMPLE, (1, 5)) == 2
+        assert reference.count_dots_in_T(perm_a, (4, 4)) == 2
 
     def test_t_members_of_alg_example(self):
-        member = diagram.region_T(5, (1, 5))
+        member = reference.region_T(5, (1, 5))
         hits = [d for d in diagram.dots(ALG_EXAMPLE) if member(d)]
         assert sorted(hits) == [(1, 5), (3, 2)]
 
@@ -40,8 +42,8 @@ class TestRegions:
     def test_t_and_p_partition_band(self, n):
         for i in range(1, n + 1):
             for m in range(1, n + 1):
-                in_t = diagram.region_T(n, (i, m))
-                in_p = diagram.region_P(n, (i, m))
+                in_t = reference.region_T(n, (i, m))
+                in_p = reference.region_P(n, (i, m))
                 band = [
                     ((i + t - 1) % n + 1, c)
                     for t in range(m)
@@ -53,24 +55,24 @@ class TestRegions:
 
 class TestSubAntidiagonal:
     def test_empty_in_first_column(self):
-        assert diagram.sub_antidiagonal(5, (3, 1)) == set()
+        assert reference.sub_antidiagonal(5, (3, 1)) == set()
 
     def test_direct_formula(self):
-        assert diagram.sub_antidiagonal(4, (1, 3)) == {(2, 2), (3, 1)}
+        assert reference.sub_antidiagonal(4, (1, 3)) == {(2, 2), (3, 1)}
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_size(self, m):
-        assert len(diagram.sub_antidiagonal(6, (2, m))) == m - 1
+        assert len(reference.sub_antidiagonal(6, (2, m))) == m - 1
 
 
 class TestShading:
     def test_example_white_corners(self, perm_a):
-        shaded = diagram.shaded_set(perm_a)
+        shaded = reference.shaded_set(perm_a)
         for corner in [(1, 4), (4, 4), (5, 2)]:
             assert corner not in shaded
 
     def test_example_shaded_rows(self, perm_a):
-        shaded = diagram.shaded_set(perm_a)
+        shaded = reference.shaded_set(perm_a)
         by_row = {
             i: {c for r, c in shaded if r == i} for i in range(1, 9)
         }
@@ -80,11 +82,20 @@ class TestShading:
 
     def test_dot_squares_stay_white(self):
         for p in enumerate_permutations(5):
-            shaded = diagram.shaded_set(p)
+            shaded = reference.shaded_set(p)
             assert not any(d in shaded for d in diagram.dots(p))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_white_matches_shaded_set(self, n):
+        for p in enumerate_permutations(n):
+            shaded = reference.shaded_set(p)
+            for i in range(1, n + 1):
+                for j in range(1, n + 2):
+                    assert diagram.is_white(p, i, j) == ((i, j) not in shaded)
+
     def test_uniform_has_no_corner(self):
-        assert diagram.geometric_corners(BoundedAffinePermutation.uniform(2, 6)) == []
+        uniform = BoundedAffinePermutation.uniform(2, 6)
+        assert reference.geometric_corners(uniform) == []
 
 
 class TestCorners:
@@ -105,7 +116,7 @@ class TestCorners:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_geometric_definition_exhaustively(self, n):
         for p in enumerate_permutations(n):
-            assert sorted(diagram.corners(p)) == sorted(diagram.geometric_corners(p))
+            assert sorted(diagram.corners(p)) == sorted(reference.geometric_corners(p))
 
 
 class TestRankDotAgreement:
@@ -114,7 +125,7 @@ class TestRankDotAgreement:
         for p in enumerate_permutations(n):
             for i in range(1, n + 1):
                 for m in range(1, n + 1):
-                    assert diagram.count_dots_in_P(p, (i, m)) == p.rank_interval(
+                    assert reference.count_dots_in_P(p, (i, m)) == p.rank_interval(
                         CyclicInterval(n, i, m)
                     )
 
@@ -123,9 +134,9 @@ class TestRankDotAgreement:
         for p in enumerate_permutations(n):
             for i in range(1, n + 1):
                 for m in range(1, n + 1):
-                    total = diagram.count_dots_in_P(p, (i, m)) + diagram.count_dots_in_T(
+                    total = reference.count_dots_in_P(
                         p, (i, m)
-                    )
+                    ) + reference.count_dots_in_T(p, (i, m))
                     assert total == m
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -169,6 +170,32 @@ class TestValidateChess:
     def test_two_arc_inconsistency_caught(self):
         bad = family(4, 1, [(0, 2, 3), (0, 4, 3)])
         assert any(v.rule == "E3" for v in validate_chess(bad))
+
+    def test_k_above_n_violates_e1(self):
+        violations = validate_chess(family(3, 5, []))
+        assert [v.rule for v in violations] == ["E1"]
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_exhaustive_soundness_and_completeness(self, n):
+        # every candidate family: each proper interval absent or labelled
+        # 0..|I|, with k from 0 to n + 1; exactly the extracted ones pass
+        genuine = {
+            diagram.ranked_essential_family(p) for p in enumerate_permutations(n)
+        }
+        proper = [
+            CyclicInterval(n, s, l) for s in range(1, n + 1) for l in range(1, n)
+        ]
+        choices = [[None, *range(iv.length + 1)] for iv in proper]
+        accepted = set()
+        for k in range(n + 2):
+            for labels in product(*choices):
+                entries = [(r, iv) for r, iv in zip(labels, proper) if r is not None]
+                F = RankedEssentialFamily.build(
+                    n, k, entries + [(k, CyclicInterval.full(n))]
+                )
+                if not validate_chess(F):
+                    accepted.add(F)
+        assert accepted == genuine
 
     def test_valid_candidates_are_genuine(self):
         # every random candidate that passes validation round-trips

@@ -15,8 +15,9 @@ from positroids.geometry import (
     codim_from_family,
     facet_system,
     length,
-    variety_conditions,
 )
+
+import diagram_reference as reference
 
 
 def random_permutation(rng, n):
@@ -54,7 +55,7 @@ class TestLength:
             dots = diagram.dots(p)
             total = 0
             for i, c in dots:
-                member = diagram.region_T(n, (i, c))
+                member = reference.region_T(n, (i, c))
                 total += sum(1 for d in dots if d != (i, c) and member(d))
             assert total == length(p)
 
@@ -150,15 +151,27 @@ class TestBases:
     def test_too_large(self, family_a):
         with pytest.raises(TooLarge):
             bases(family_a, bound=4)
+        with pytest.raises(TooLarge):
+            bases(family_a, bound=4, first=1)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_shards_partition_the_bases(self, n):
+        for p in enumerate_permutations(n):
+            F = diagram.ranked_essential_family(p)
+            if F.k == 0:
+                continue
+            shards = [bases(F, first=f) for f in range(1, n - F.k + 2)]
+            assert [b for shard in shards for b in shard] == bases(F)
+            assert all(b[0] == f for f, s in enumerate(shards, 1) for b in s)
 
 
 class TestVarietyConditions:
     def test_uniform_empty(self):
         F = diagram.ranked_essential_family(BoundedAffinePermutation.uniform(2, 5))
-        assert variety_conditions(F) == ()
+        assert facet_system(F).inequalities == ()
 
     def test_example_three_conditions(self, family_a):
-        conds = variety_conditions(family_a)
+        conds = facet_system(family_a).inequalities
         assert len(conds) == 3
 
     def test_conditions_imply_all_interval_ranks(self, family_a):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from positroids import diagram, geometry
+from positroids import diagram, geometry, realize
 from positroids.realize import (
     NotFullRank,
     NotNonNegative,
@@ -25,6 +27,56 @@ def vandermonde(nodes):
     return RationalMatrix.from_rows(
         [[Fraction(x) ** p for x in nodes] for p in range(3)]
     )
+
+
+def laplace_det(rows):
+    """Exact reference determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** c * rows[0][c] * laplace_det([r[:c] + r[c + 1:] for r in rows[1:]])
+        for c in range(len(rows))
+    )
+
+
+def reference_minors(M):
+    """{column subset: determinant} over every maximal minor of M."""
+    return {
+        subset: laplace_det([[row[j - 1] for j in subset] for row in M.entries])
+        for subset in combinations(range(1, M.n + 1), M.k)
+    }
+
+
+def random_signed_matrix(rng, k, n):
+    values = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]
+    return RationalMatrix.from_rows(
+        [[rng.choice(values) for _ in range(n)] for _ in range(k)]
+    )
+
+
+class TestMinorSigns:
+    def test_signs_match_reference_determinant(self):
+        rng = random.Random(31)
+        for _ in range(1500):
+            k = rng.randint(1, 4)
+            M = random_signed_matrix(rng, k, rng.randint(k, 6))
+            cols = realize._integer_columns(M)
+            for subset, det in reference_minors(M).items():
+                sign = (det > 0) - (det < 0)
+                assert realize._minor_sign(cols, subset) == sign, (M, subset)
+
+    def test_public_verdicts_match_reference(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            M = random_signed_matrix(rng, k, rng.randint(k, 6))
+            minors = reference_minors(M)
+            assert is_positively_realizing(M) == all(d >= 0 for d in minors.values())
+            if any(minors.values()):
+                assert matroid_bases(M) == [s for s, d in minors.items() if d]
+            else:
+                with pytest.raises(NotFullRank):
+                    matroid_bases(M)
 
 
 class TestMatroidBases:

@@ -4,6 +4,7 @@ import pytest
 
 from positroids.core import (
     BoundedAffinePermutation,
+    CyclicInterval,
     enumerate_permutations,
 )
 from positroids import diagram, retrieval
@@ -18,6 +19,8 @@ from positroids.retrieval import (
     verify_conditions,
 )
 
+import diagram_reference as reference
+
 PAPER_INPUT = RankConditionSet(5, ((1, (3, 2)), (3, (1, 5))))
 
 
@@ -29,24 +32,29 @@ class TestDottingCounters:
     def test_empty_dotting(self):
         dotting = ProperDotting(6)
         assert all(
-            dotting.d((i, m)) == dotting.r((i, m)) == 0
+            dotting.d((i, m)) == 0
             for i in range(1, 7)
             for m in range(1, 8)
         )
 
     def test_complete_dotting_rank(self):
+        # retrieval reads a complete dotting's ranks off its permutation
         p = BoundedAffinePermutation.from_window([5, 6, 4, 7, 8])
         dotting = ProperDotting(5, {i: c for i, c in diagram.dots(p)})
-        assert dotting.r((1, 5)) == 3
+        q = BoundedAffinePermutation.from_window(dotting.window())
+        assert q.rank_interval(CyclicInterval(5, 1, 5)) == 3
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_counters_match_region_counts(self, n):
         for p in enumerate_permutations(n):
             dotting = ProperDotting(n, {i: c for i, c in diagram.dots(p)})
+            q = BoundedAffinePermutation.from_window(dotting.window())
             for i in range(1, n + 1):
                 for m in range(1, n + 1):
-                    assert dotting.r((i, m)) == diagram.count_dots_in_P(p, (i, m))
-                    assert dotting.d((i, m)) == diagram.count_dots_in_T(p, (i, m))
+                    assert q.rank_interval(
+                        CyclicInterval(n, i, m)
+                    ) == reference.count_dots_in_P(p, (i, m))
+                    assert dotting.d((i, m)) == reference.count_dots_in_T(p, (i, m))
 
 
 class TestRetrieve:
@@ -114,6 +122,11 @@ class TestErrors:
     def test_duplicate_square_rejected_at_construction(self):
         with pytest.raises(ValueError):
             RankConditionSet(4, ((1, (2, 2)), (2, (2, 2))))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_ground_set_rejected_at_construction(self, n):
+        with pytest.raises(ValueError):
+            RankConditionSet(n, ())
 
     def test_termination_on_random_inputs(self):
         rng = random.Random(99)
