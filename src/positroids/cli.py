@@ -68,9 +68,9 @@ def _load_family(obj: dict) -> essential.RankedEssentialFamily:
 
 
 def _load_perm_or_family(obj: dict):
-    if "window" in obj:
+    if isinstance(obj, dict) and "window" in obj:
         return _load_permutation(obj), None
-    if "sets" in obj:
+    if isinstance(obj, dict) and "sets" in obj:
         return None, _load_family(obj)
     raise _Malformed("expected a permutation ('window') or a family ('sets')")
 
@@ -141,7 +141,7 @@ def _cmd_rank(args) -> int:
                 )
     else:
         if args.both:
-            perm = essential.permutation_from_family(family)  # validates
+            perm = essential.permutation_from_family(family)  # the certificate
         else:
             essential.validated(family)
         direct = essential.rank_from_family(family, interval)
@@ -180,13 +180,14 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_validate(args) -> int:
     family = _load_family(_read_json(args.input))
-    violations = essential.validate_chess(family)
-    if not violations:
-        print("valid")
-        return EXIT_OK
-    for v in violations:
-        print(str(v))
-    return EXIT_INVALID_FAMILY
+    try:
+        essential.validated(family)
+    except essential.NotValidated as e:
+        for v in e.violations:
+            print(str(v))
+        return EXIT_INVALID_FAMILY
+    print("valid")
+    return EXIT_OK
 
 
 def _cmd_codim(args) -> int:
@@ -201,7 +202,7 @@ def _cmd_codim(args) -> int:
             return EXIT_OK
     else:
         if args.both:
-            perm = essential.permutation_from_family(family)  # validates
+            perm = essential.permutation_from_family(family)  # the certificate
         else:
             essential.validated(family)
         value = geometry.codim_from_family(family)
@@ -253,7 +254,7 @@ def _cmd_bases(args) -> int:
 def _cmd_from_matrix(args) -> int:
     try:
         matrix = realize.RationalMatrix.from_json(_read_json(args.input))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise _Malformed(f"bad matrix: {e}")
     perm = realize.permutation_from_matrix(matrix)
     _print_window(args.format, perm.n, list(perm.window))

@@ -107,11 +107,10 @@ class CyclicInterval:
         return (x - self.start) % self.n < self.length
 
     def mask(self) -> int:
-        """Bitmask with bit e-1 set for each element e of the interval."""
-        m = 0
-        for e in self.residues():
-            m |= 1 << (e - 1)
-        return m
+        """Bitmask with bit e-1 set for each element e of the interval: a
+        run of ``length`` bits from bit start-1, folded back past bit n-1."""
+        run = ((1 << self.length) - 1) << (self.start - 1)
+        return (run | run >> self.n) & ((1 << self.n) - 1)
 
     def to_json(self) -> dict:
         return {"start": self.start, "len": self.length}

@@ -4,11 +4,13 @@ core, axiomatic validation, and recovery of the permutation.
 
 A ranked essential family on [n] is a set of (rank, cyclic interval)
 pairs with pairwise distinct intervals, always including the pair
-(k, [1, n]).  Families extracted from a permutation satisfy three
-compatibility axioms (E1 through E3 below); validate_chess checks a
-candidate family against them and the axioms characterize exactly the
-families of positroids, which is what makes permutation_from_family
-total on validated input.
+(k, [1, n]).  A candidate family is valid exactly when it is the family
+of some positroid, and the retrieval round trip decides that: retrieve a
+permutation from the family's rank conditions, re-extract its family,
+and compare.  permutation_from_family returns that permutation as the
+certificate.  The three compatibility axioms (E1 through E3 below) hold
+exactly on the valid families too; validate_chess checks them, and runs
+only to explain a rejected family by its violations.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from .core import (
     mask_to_interval,
     residue,
 )
-from .retrieval import conditions_from_family, retrieve
+from .retrieval import InvalidInput, conditions_from_family, retrieve
 
 Entry = tuple[int, CyclicInterval]
 
 
 class NotValidated(ValueError):
     """Raised when an operation requiring a valid family receives one that
-    fails the chess axioms; carries the violation list."""
+    fails the round trip; carries the chess-axiom violations explaining it."""
 
     def __init__(self, violations: list["Violation"]):
         self.violations = violations
@@ -253,6 +255,9 @@ def _gap_between(n: int, a: CyclicInterval, b: CyclicInterval) -> CyclicInterval
 def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     """Check the three essential-set axioms; empty list means valid.
 
+    It agrees with the faster round trip of permutation_from_family and
+    runs only to list the violations of a family that fails it.
+
     E1  k <= n, and every proper entry has 0 <= r < |I| and
         0 < k - r <= n - |I|.
     E2  nested entries have strictly increasing rank, with the increase
@@ -314,13 +319,12 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                 )
 
     # E3
-    proper = list(family.proper_entries)
+    proper = [(e, m) for e, m in zip(entries, masks) if not e[1].is_full]
     for x in range(len(proper)):
         for y in range(len(proper)):
             if x == y:
                 continue
-            e1, e2 = proper[x], proper[y]
-            m1, m2 = e1[1].mask(), e2[1].mask()
+            (e1, m1), (e2, m2) = proper[x], proper[y]
             inter = m1 & m2
             if inter == m1 or inter == m2:
                 continue  # nested: E2 territory
@@ -464,10 +468,9 @@ def _check_e3_overlap(
 
 
 def validated(family: RankedEssentialFamily) -> RankedEssentialFamily:
-    """The family itself if it passes the axioms, else NotValidated."""
-    violations = validate_chess(family)
-    if violations:
-        raise NotValidated(violations)
+    """The family itself if the round trip of permutation_from_family
+    certifies it, else NotValidated with the axiom violations."""
+    permutation_from_family(family)
     return family
 
 
@@ -487,6 +490,16 @@ def permutation_from_family(
     It is retrieved from the family's rank conditions, and it satisfies:
     pi(i) is the least j >= i with rank [i, j] = rank [i+1, j], where the
     right side is 0 at j = i and intervals of n or more elements read as
-    the full set.
+    the full set.  The family is valid exactly when that retrieval
+    succeeds and the permutation's own family is the given one; otherwise
+    NotValidated carries validate_chess's violations.
     """
-    return retrieve(conditions_from_family(validated(family)))
+    from .diagram import ranked_essential_family  # diagram imports this module
+
+    try:
+        perm = retrieve(conditions_from_family(family))
+    except InvalidInput:
+        perm = None
+    if perm is None or ranked_essential_family(perm) != family:
+        raise NotValidated(validate_chess(family))
+    return perm

@@ -174,9 +174,21 @@ def replay_trace(n: int, events: Iterable[TraceEvent]) -> BoundedAffinePermutati
 
 
 def _min_col_with_dependency(dotting: ProperDotting, h: int, r: int) -> int | None:
-    """Least column b in [1, n+1] with b - 1 - d(h, b) = r, if any."""
-    for b in range(1, dotting.n + 2):
-        if b - 1 - dotting.d((h, b)) == r:
+    """Least column b in [1, n+1] with b - 1 - d(h, b) = r, if any.
+
+    The dot of row h + t (0 <= t < n) at column c counts in d(h, b)
+    exactly when b >= c + t, so a tally of c + t gives every d(h, b) in O(n).
+    """
+    n = dotting.n
+    reach = [0] * (n + 2)
+    for row, col in dotting.cols.items():
+        b = col + (row - h) % n
+        if b <= n + 1:
+            reach[b] += 1
+    deps = 0
+    for b in range(1, n + 2):
+        deps += reach[b]
+        if b - 1 - deps == r:
             return b
     return None
 

@@ -1,13 +1,20 @@
+import io
 import json
 import subprocess
 import sys
 from concurrent.futures import Future
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from positroids import cli, essential, realize
+from positroids import cli, diagram, essential, realize
 from positroids.cli import main
-from positroids.core import count_permutations
+from positroids.core import BoundedAffinePermutation, count_permutations
+
+from test_core import windows
 
 PERM_A = {"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13]}
 FAMILY_A = {
@@ -195,6 +202,10 @@ class TestFromMatrix:
         code, _, err = run(["from-matrix", path, "--check-nonneg"], capsys)
         assert code == 1 and "negative" in err
 
+    def test_zero_denominator_is_malformed(self, write_json, capsys):
+        path = write_json("m.json", {"k": 1, "n": 2, "entries": [["1/0", "1"]]})
+        code, out, err = run(["from-matrix", path], capsys)
+        assert code == 1 and out == "" and err.startswith("error: bad matrix")
 
     def test_nonneg_check_runs_once(self, write_json, capsys, monkeypatch):
         calls = []
@@ -267,21 +278,57 @@ class TestJobs:
 
 
 class TestFamilyValidatedOnce:
+    """A valid family is certified by one retrieval and no axiom check;
+    the axioms run once, only to explain a rejected family."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"retrieve": 0, "validate_chess": 0}
+        for name in counts:
+            def counted(*args, _name=name, _func=getattr(essential, name)):
+                counts[_name] += 1
+                return _func(*args)
+
+            monkeypatch.setattr(essential, name, counted)
+        return counts
+
     @pytest.mark.parametrize(
         "argv", [["codim", "--both"], ["rank", "--interval", "2,4", "--both"]]
     )
-    def test_both_routes(self, write_json, capsys, monkeypatch, argv):
-        calls = []
-        validate = essential.validate_chess
-        monkeypatch.setattr(
-            essential, "validate_chess", lambda F: calls.append(F) or validate(F)
-        )
+    def test_both_routes(self, write_json, capsys, calls, argv):
         path = write_json("f.json", FAMILY_A)
         code, _, _ = run([argv[0], path, *argv[1:]], capsys)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == {"retrieve": 1, "validate_chess": 0}
+
+    @pytest.mark.parametrize("command", ["validate", "polytope"])
+    def test_single_route(self, write_json, capsys, calls, command):
+        path = write_json("f.json", FAMILY_A)
+        code, _, _ = run([command, path], capsys)
+        assert code == 0 and calls == {"retrieve": 1, "validate_chess": 0}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["polytope"], ["codim", "--both"],
+         ["rank", "--interval", "2,4", "--both"]],
+    )
+    def test_rejection_explained_once(self, write_json, capsys, calls, argv):
+        bad = {**FAMILY_A, "sets": [{"rank": 0, "start": 5, "len": 2},
+                                    *FAMILY_A["sets"][1:]]}
+        path = write_json("f.json", bad)
+        code, out, err = run([argv[0], path, *argv[1:]], capsys)
+        assert code == 3 and (out or err).startswith("E")
+        assert calls == {"retrieve": 1, "validate_chess": 1}
 
 
 class TestStrictInput:
+    @pytest.mark.parametrize("argv", [["rank", "--interval", "1,1"], ["codim"]])
+    @pytest.mark.parametrize("doc", [5, None, True, 1.5, [1, 2], "window"])
+    def test_non_object_document_is_malformed(self, write_json, capsys, argv, doc):
+        path = write_json("in.json", doc)
+        code, out, err = run([argv[0], path, *argv[1:]], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: expected a permutation")
+
     @pytest.mark.parametrize(
         "argv, doc",
         [
@@ -411,3 +458,79 @@ def test_subprocess_stdin_dash():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "1 # # o . # . . . ."
+
+
+# Every subcommand that reads a JSON document, with the flags that reach
+# the most code.
+FUZZ_COMMANDS = [
+    ["essentials", "--excess", "--core", "--connected", "--diagram"], ["diagram"],
+    ["rank", "--interval", "2,3", "--both"], ["retrieve", "--trace"], ["validate"],
+    ["codim", "--both"], ["polytope"], ["bases"], ["from-matrix"], ["rank2"],
+]
+
+# every integer stays in -2..12 (windows of n <= 6 end at 12), so no
+# input asks for a huge n
+_ints = st.integers(-2, 12)
+_scalars = (
+    st.none() | st.booleans() | _ints | st.floats(-2, 12)
+    | st.text("0123456789/-.e pq", max_size=5)
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "k", "window", "sets", "conditions", "entries",
+                         "classes", "loops", "rank", "start", "len"]),
+        inner, max_size=4,
+    ),
+    max_leaves=12,
+)
+_field = _ints | _json
+_sets = st.lists(
+    st.fixed_dictionaries({"rank": _ints, "start": _ints, "len": _ints}) | _json,
+    max_size=5,
+)
+
+
+@st.composite
+def _genuine_family(draw):
+    doc = diagram.ranked_essential_family(
+        BoundedAffinePermutation.from_window(draw(windows(6)))
+    ).to_json()
+    bump = draw(st.integers(-1, len(doc["sets"]) - 1))
+    if bump >= 0:  # move one label, usually spoiling the family
+        doc["sets"][bump]["rank"] += draw(st.sampled_from([-1, 1]))
+    return doc
+
+
+_documents = _json | st.one_of(
+    st.fixed_dictionaries({"n": _field, "window": st.lists(_field, max_size=8)}),
+    st.builds(lambda w: {"n": len(w), "window": w}, windows(6)),
+    st.fixed_dictionaries({"n": _field, "k": _field, "sets": _sets}),
+    _genuine_family(),
+    st.fixed_dictionaries({"n": _field, "conditions": _sets}),
+    st.fixed_dictionaries({
+        "k": _field, "n": _field,
+        "entries": st.lists(st.lists(
+            _scalars | st.builds("{}/{}".format, _ints, _ints), max_size=4,
+        ), max_size=4),
+    }),
+    st.fixed_dictionaries(
+        {"n": _field, "classes": st.lists(st.lists(_field, max_size=4), max_size=4)},
+        optional={"loops": st.lists(_field, max_size=3)},
+    ),
+)
+
+
+_FUZZ_PARSER = cli.build_parser()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_fuzzed_documents_exit_with_a_documented_code(doc):
+    text = json.dumps(doc)
+    # one parser serves every call: building it is most of a call's cost
+    with mock.patch.object(cli, "build_parser", lambda: _FUZZ_PARSER), \
+            mock.patch.object(sys, "stdin", SimpleNamespace(read=lambda: text)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes = {argv[0]: main([argv[0], "-", *argv[1:]]) for argv in FUZZ_COMMANDS}
+    assert set(codes.values()) <= {0, 1, 2, 3}, (codes, text)

@@ -58,6 +58,15 @@ class TestCyclicInterval:
         assert mask_to_interval(6, iv.mask()) == iv
         assert mask_to_interval(4, 0b0101) is None
 
+    def test_mask_matches_residue_loop(self):
+        for n in range(1, 13):
+            for start in range(1, n + 1):
+                for length in range(1, n + 1):
+                    expected = 0
+                    for t in range(length):
+                        expected |= 1 << (start + t - 1) % n
+                    assert CyclicInterval(n, start, length).mask() == expected
+
 
 class TestCyclicOrder:
     def test_base_is_minimal(self):

@@ -186,7 +186,7 @@ class TestValidateChess:
             CyclicInterval(n, s, l) for s in range(1, n + 1) for l in range(1, n)
         ]
         choices = [[None, *range(iv.length + 1)] for iv in proper]
-        accepted = set()
+        accepted, certified = set(), set()
         for k in range(n + 2):
             for labels in product(*choices):
                 entries = [(r, iv) for r, iv in zip(labels, proper) if r is not None]
@@ -195,7 +195,9 @@ class TestValidateChess:
                 )
                 if not validate_chess(F):
                     accepted.add(F)
-        assert accepted == genuine
+                if certificate_violations(F) is None:
+                    certified.add(F)
+        assert accepted == genuine == certified
 
     def test_valid_candidates_are_genuine(self):
         # every random candidate that passes validation round-trips
@@ -219,6 +221,89 @@ class TestValidateChess:
             back = diagram.ranked_essential_family(permutation_from_family(F))
             assert set(back.entries) == set(F.entries)
         assert accepted > 100
+
+
+def certificate_violations(F):
+    """None when permutation_from_family certifies F, else the violations
+    its rejection carries."""
+    try:
+        permutation_from_family(F)
+    except NotValidated as e:
+        return e.violations
+    return None
+
+
+def random_window(rng, n):
+    sigma = rng.sample(range(1, n + 1), n)
+    window = [i + (sigma[i - 1] - i) % n for i in range(1, n + 1)]
+    return [v + n if v == i and rng.random() < 0.5 else v
+            for i, v in enumerate(window, 1)]
+
+
+def perturbed(rng, F):
+    """F with one label moved by 1, an interval added, an entry removed,
+    or an endpoint shifted; None when the change leaves no family."""
+    n, k = F.n, F.k
+    entries = list(F.entries)
+    proper = [e for e in entries if not e[1].is_full]
+    kind = rng.choice(["label", "add", "remove", "shift"])
+    if kind == "label":
+        idx = rng.randrange(len(entries))
+        r, iv = entries[idx]
+        entries[idx] = (r + rng.choice([-1, 1]), iv)
+        if iv.is_full:
+            k = entries[idx][0]
+    elif kind == "add":
+        length = rng.randint(1, n - 1)
+        entries.append(
+            (rng.randint(0, length), CyclicInterval(n, rng.randint(1, n), length))
+        )
+    elif not proper:
+        return None
+    elif kind == "remove":
+        entries.remove(rng.choice(proper))
+    else:
+        r, iv = rng.choice(proper)
+        entries.remove((r, iv))
+        if rng.random() < 0.5:  # move the left end, keeping the right end
+            start = iv.start + rng.choice([-1, 1])
+            length = iv.end - start + 1
+        else:
+            start, length = iv.start, iv.length + rng.choice([-1, 1])
+        if not 1 <= length < n:
+            return None
+        entries.append((r, CyclicInterval(n, (start - 1) % n + 1, length)))
+    try:
+        return RankedEssentialFamily.build(n, k, entries)
+    except ValueError:
+        return None
+
+
+class TestCertificate:
+    def test_agrees_with_axioms_on_perturbed_families(self):
+        # near misses of genuine families at n = 4..12: the round trip
+        # accepts exactly what the axioms accept, and every rejection
+        # comes with at least one violation
+        rng = random.Random(4)
+        checked = rejected = 0
+        while checked < 3000:
+            n = rng.randint(4, 12)
+            p = BoundedAffinePermutation.from_window(random_window(rng, n))
+            F = perturbed(rng, diagram.ranked_essential_family(p))
+            if F is None:
+                continue
+            checked += 1
+            violations = certificate_violations(F)
+            if violations is None:
+                assert validate_chess(F) == []
+            else:
+                rejected += 1
+                assert violations
+        assert 1000 < rejected < 3000
+
+    def test_uniform_family_at_n_64(self):
+        F = family(64, 32, [])
+        assert permutation_from_family(F) == BoundedAffinePermutation.uniform(32, 64)
 
 
 class TestRankFunctionFromAxioms:

@@ -44,6 +44,21 @@ class TestDottingCounters:
         q = BoundedAffinePermutation.from_window(dotting.window())
         assert q.rank_interval(CyclicInterval(5, 1, 5)) == 3
 
+    def test_min_col_matches_d_scan(self):
+        # the tally in _min_col_with_dependency against calling d per column
+        rng = random.Random(11)
+        for _ in range(3000):
+            n = rng.randint(1, 10)
+            rows = rng.sample(range(1, n + 1), rng.randint(0, n))
+            dotting = ProperDotting(n, {row: rng.randint(1, n + 1) for row in rows})
+            h = rng.randint(1, n)
+            for r in range(-1, n + 2):
+                expected = next(
+                    (b for b in range(1, n + 2) if b - 1 - dotting.d((h, b)) == r),
+                    None,
+                )
+                assert retrieval._min_col_with_dependency(dotting, h, r) == expected
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_counters_match_region_counts(self, n):
         for p in enumerate_permutations(n):
