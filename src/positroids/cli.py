@@ -17,6 +17,7 @@ canonical order so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,9 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import diagram, essential, geometry, realize, retrieval, smallrank
 from .core import (
     BoundedAffinePermutation,
-    BoundViolation,
     CyclicInterval,
-    NotBijective,
     enumerate_permutations,
     json_int,
 )
@@ -302,7 +301,9 @@ def _print_window(fmt: str, n: int, window: list[int]) -> None:
         print(" ".join(str(v) for v in window))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="positroids",
         description="positroid calculus via ranked essential sets",
@@ -368,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Malformed as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (BoundViolation, NotBijective, ValueError) as e:
+    except ValueError as e:
         if isinstance(e, essential.NotValidated):
             for v in e.violations:
                 print(str(v), file=sys.stderr)

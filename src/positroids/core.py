@@ -13,6 +13,11 @@ Conventions used throughout the package:
   window [pi(1), ..., pi(n)] and evaluated on arbitrary integer lifts.
   All rank computations compare lifts, never residues, to avoid
   wrap-around bugs.
+- Tuples built on every call are built from lists, not generators.
+  CPython grows ``tuple(generator)`` by resizing a fresh block, which
+  bypasses the tuple free lists that freeing it then fills, so a caller
+  that runs many operations in one process would hold a growing free
+  list until the next full garbage collection.
 """
 
 from __future__ import annotations
@@ -120,6 +125,29 @@ class CyclicInterval:
         return cls(n, json_int(obj["start"]), json_int(obj["len"]))
 
 
+def mask_arcs(n: int, mask: int) -> list[CyclicInterval]:
+    """The maximal cyclic runs of an element mask, in order of their start.
+
+    >>> mask_arcs(6, 0b110011)  # {1, 2, 5, 6} is the one run [5, 2]
+    [CyclicInterval(n=6, start=5, length=4)]
+    >>> mask_arcs(6, 0b011011)
+    [CyclicInterval(n=6, start=1, length=2), CyclicInterval(n=6, start=4, length=2)]
+    """
+    full = (1 << n) - 1
+    if mask == full:
+        return [CyclicInterval.full(n)]
+    # a run starts at e when e is in the mask and its cyclic predecessor is not
+    starts = mask & ~(mask << 1 | mask >> (n - 1))
+    arcs = []
+    while starts:
+        start = (starts & -starts).bit_length()
+        turned = (mask >> (start - 1) | mask << (n - start + 1)) & full
+        length = (~turned & (turned + 1)).bit_length() - 1  # trailing ones
+        arcs.append(CyclicInterval(n, start, length))
+        starts &= starts - 1
+    return arcs
+
+
 def mask_to_interval(n: int, mask: int) -> CyclicInterval | None:
     """The cyclic interval with the given element mask, or None if not one.
 
@@ -128,17 +156,8 @@ def mask_to_interval(n: int, mask: int) -> CyclicInterval | None:
     >>> mask_to_interval(4, 0b0101) is None
     True
     """
-    if mask == 0 or mask == (1 << n) - 1:
-        return CyclicInterval.full(n) if mask else None
-    # exactly one 0 -> 1 transition going cyclically means a single run
-    starts = [
-        e
-        for e in range(1, n + 1)
-        if mask >> (e - 1) & 1 and not mask >> (residue(e - 1, n) - 1) & 1
-    ]
-    if len(starts) != 1:
-        return None
-    return CyclicInterval(n, starts[0], mask.bit_count())
+    arcs = mask_arcs(n, mask)
+    return arcs[0] if len(arcs) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -184,7 +203,7 @@ class BoundedAffinePermutation:
     @classmethod
     def from_window(cls, values: Iterable[int]) -> "BoundedAffinePermutation":
         """Validate and build; raises BoundViolation or NotBijective."""
-        window = tuple(json_int(v) for v in values)
+        window = tuple([json_int(v) for v in values])
         n = len(window)
         if n == 0:
             raise ValueError("window must be non-empty")
@@ -203,7 +222,7 @@ class BoundedAffinePermutation:
         """The permutation i -> i + k of the uniform matroid U_{k,n}."""
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        return cls(n, tuple(i + k for i in range(1, n + 1)))
+        return cls(n, tuple([i + k for i in range(1, n + 1)]))
 
     def eval(self, i: int) -> int:
         """pi(i) for any integer i, using pi(i + n) = pi(i) + n."""

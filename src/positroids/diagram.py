@@ -27,7 +27,7 @@ Square = tuple[int, int]
 
 def dots(p: BoundedAffinePermutation) -> tuple[Square, ...]:
     """One dot per row i in [1, n], at column pi(i) - i + 1."""
-    return tuple((i, p.eval(i) - i + 1) for i in range(1, p.n + 1))
+    return tuple([(i, p.eval(i) - i + 1) for i in range(1, p.n + 1)])
 
 
 def is_white(p: BoundedAffinePermutation, row: int, col: int) -> bool:

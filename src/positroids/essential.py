@@ -22,7 +22,7 @@ from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
     json_int,
-    mask_to_interval,
+    mask_arcs,
     residue,
 )
 from .retrieval import InvalidInput, conditions_from_family, retrieve
@@ -78,7 +78,7 @@ class RankedEssentialFamily:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "_masks", tuple(iv.mask() for _, iv in self.entries)
+            self, "_masks", tuple([iv.mask() for _, iv in self.entries])
         )
 
     @classmethod
@@ -104,7 +104,7 @@ class RankedEssentialFamily:
 
     @property
     def proper_entries(self) -> tuple[Entry, ...]:
-        return tuple(e for e in self.entries if not e[1].is_full)
+        return tuple([e for e in self.entries if not e[1].is_full])
 
     def to_json(self) -> dict:
         return {
@@ -145,22 +145,23 @@ def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) ->
 
 
 def _disjoint_decompositions_exist(
-    target: int, nullities: Sequence[int], masks: Sequence[int]
+    target: int, nullities: Sequence[int], masks: Sequence[int],
+    idx: int = 0, used_mask: int = 0, parts: int = 0,
 ) -> bool:
-    """True if >= 2 pairwise-disjoint parts have nullities summing to target."""
+    """True if >= 2 pairwise-disjoint parts have nullities summing to target.
 
-    def search(idx: int, acc: int, used_mask: int, parts: int) -> bool:
-        if acc == target and parts >= 2:
-            return True
-        if acc >= target or idx == len(nullities):
-            return False
-        if masks[idx] & used_mask == 0 and search(
-            idx + 1, acc + nullities[idx], used_mask | masks[idx], parts + 1
-        ):
-            return True
-        return search(idx + 1, acc, used_mask, parts)
-
-    return search(0, 0, 0, 0)
+    It recurses on itself, not through a nested closure: a closure that
+    calls itself is a reference cycle, left on every call for the cyclic
+    garbage collector to find."""
+    if target == 0 and parts >= 2:
+        return True
+    if target <= 0 or idx == len(nullities):
+        return False
+    if masks[idx] & used_mask == 0 and _disjoint_decompositions_exist(
+        target - nullities[idx], nullities, masks, idx + 1, used_mask | masks[idx], parts + 1
+    ):
+        return True
+    return _disjoint_decompositions_exist(target, nullities, masks, idx + 1, used_mask, parts)
 
 
 def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
@@ -334,11 +335,12 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                 violations.extend(_check_e3_disjoint(family, e1, e2))
                 violations.extend(_check_e3_disjoint(family, e2, e1))
             else:
-                overlap = mask_to_interval(n, inter)
-                if overlap is None:
+                arcs = mask_arcs(n, inter)
+                if len(arcs) > 1:
                     if x < y:
-                        violations.extend(_check_e3_two_arc(family, e1, e2, inter))
+                        violations.extend(_check_e3_two_arc(family, e1, e2, arcs))
                     continue
+                overlap = arcs[0]
                 if not (e1[1].contains(e2[1].start) and e2[1].contains(residue(e1[1].end, n))):
                     continue  # handled from the orientation where e2 starts inside e1
                 violations.extend(_check_e3_overlap(family, e1, e2, overlap))
@@ -404,33 +406,14 @@ def _check_e3_disjoint(
     return out
 
 
-def _mask_arcs(n: int, mask: int) -> list[CyclicInterval]:
-    """Decompose a mask into its maximal cyclic runs."""
-    single = mask_to_interval(n, mask)
-    if single is not None:
-        return [single]
-    arcs = []
-    rest = mask
-    for start in range(1, n + 1):
-        if rest >> (start - 1) & 1 and not mask >> (residue(start - 1, n) - 1) & 1:
-            length = 0
-            while rest >> (residue(start + length, n) - 1) & 1:
-                length += 1
-            arc = CyclicInterval(n, start, length)
-            arcs.append(arc)
-            rest &= ~arc.mask()
-    return arcs
-
-
 def _check_e3_two_arc(
-    family: RankedEssentialFamily, e1: Entry, e2: Entry, inter: int
+    family: RankedEssentialFamily, e1: Entry, e2: Entry, arcs: list[CyclicInterval]
 ) -> list[Violation]:
     """Pair intersecting in two arcs: the union is the whole circle and
     the intersection rank implied by submodularity must not undercut the
     rank either arc already carries."""
-    n, k = family.n, family.k
+    k = family.k
     (r1, _), (r2, _) = e1, e2
-    arcs = _mask_arcs(n, inter)
     term = r1 + r2 - k
     estimate = sum(
         min(r + _uncovered(arc, iv) for r, iv in _contained_maximal(family, arc))

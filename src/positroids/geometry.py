@@ -1,6 +1,7 @@
 """
 Geometric quantities of a positroid: cell codimension, polytope facets
-(which are also the variety's rank conditions) and basis enumeration.
+(which are also the variety's rank conditions), basis enumeration and
+the codimension-one boundary cells.
 
 The codimension of a positroid cell equals the inversion length of its
 bounded affine permutation; it can also be assembled from the family as
@@ -109,17 +110,9 @@ def facet_system(family: RankedEssentialFamily) -> FacetSystem:
     """The polytope's facets; read as rank(I) <= r, its inequalities are
     also the rank conditions defining the positroid variety."""
     ineqs = tuple(
-        (iv, r) for r, iv in connected_entries(family) if not iv.is_full
+        [(iv, r) for r, iv in connected_entries(family) if not iv.is_full]
     )
     return FacetSystem(family.n, family.k, ineqs)
-
-
-def _all_intervals(n: int) -> list[CyclicInterval]:
-    out = [CyclicInterval.full(n)]
-    for start in range(1, n + 1):
-        for ln in range(1, n):
-            out.append(CyclicInterval(n, start, ln))
-    return out
 
 
 def bases(
@@ -133,11 +126,11 @@ def bases(
     """
     n, k = family.n, family.k
     TooLarge.check(n, bound)
-    caps = [
-        (iv.mask(), rank_from_family(family, iv))
-        for iv in _all_intervals(n)
-        if not iv.is_full
-    ]
+    caps = []
+    for start in range(1, n + 1):
+        for ln in range(1, n):
+            iv = CyclicInterval(n, start, ln)
+            caps.append((iv.mask(), rank_from_family(family, iv)))
     if first is None:
         subsets = combinations(range(1, n + 1), k)
     else:
@@ -154,35 +147,31 @@ def bases(
     return out
 
 
-def codim1_boundary_count(p: BoundedAffinePermutation, bound: int = 9) -> int:
-    """Loop-preserving cells one dimension down in the closure (experimental).
+def codim1_boundary_count(p: BoundedAffinePermutation) -> int:
+    """Loop-preserving cells one dimension down in the closure of p's cell.
 
-    Counts permutations of the same size and rank whose length exceeds
-    p's by one, whose interval ranks are dominated by p's everywhere,
-    and whose loops are exactly p's.  Interval dominance alone counts
-    every cell of the closure boundary (it agrees with the affine Bruhat
-    covers), but that includes degenerations sending an element to zero;
-    the published tables of codimension-one boundaries that this count
-    is calibrated against draw each cell as a point-line configuration
-    and list only the cells keeping every element a nonzero vector, so
-    new-loop cells are excluded here.  For rank 1 every boundary cell
-    creates a loop and the count is 0.
+    Closure of positroid cells is affine Bruhat order on bounded affine
+    permutations (Knutson, Lam and Speyer, *Positroid varieties: juggling
+    and geometry*, 2013), so the boundary cells of codimension one are
+    the covers of p.  Swapping the values at a < b < a + n (and at every
+    translate) is one when b < pi(a) < pi(b) <= a + n and no c between a
+    and b has pi(a) < pi(c) < pi(b): the result stays bounded and has
+    exactly one more inversion.  The strict b < pi(a) leaves out the
+    covers that send b to a new loop: the published tables of
+    codimension-one boundaries that this count is calibrated against
+    draw each cell as a point-line configuration and list only the cells
+    keeping every element a nonzero vector.  For rank 1 every boundary
+    cell creates a loop and the count is 0.  O(n^2): for each a, the b
+    are scanned upwards with the least pi(b) above pi(a) seen so far.
     """
-    from .core import enumerate_permutations
-
     n = p.n
-    TooLarge.check(n, bound)
-    k = p.rank()
-    target = length(p) + 1
-    intervals = _all_intervals(n)
-    p_ranks = [p.rank_interval(iv) for iv in intervals]
-    loops = p.loops()
     count = 0
-    for q in enumerate_permutations(n, k=k):
-        if length(q) != target or q.loops() != loops:
-            continue
-        if all(
-            q.rank_interval(iv) <= cap for iv, cap in zip(intervals, p_ranks)
-        ):
-            count += 1
+    for a in range(1, n + 1):
+        pa = p.eval(a)
+        ceiling = a + n + 1  # least pi(c) > pi(a) over a < c < b, capped by the bound
+        for b in range(a + 1, pa):
+            pb = p.eval(b)
+            if pa < pb < ceiling:
+                count += 1
+                ceiling = pb
     return count

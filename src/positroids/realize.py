@@ -10,6 +10,7 @@ appears anywhere in this module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,6 +19,13 @@ from typing import Iterable, Iterator
 
 from .core import BoundedAffinePermutation, json_int
 from .geometry import TooLarge
+
+
+# Largest decimal exponent a matrix entry may carry, in magnitude: an
+# entry is expanded to an exact integer, and 4300 is also Python's default
+# limit on the digits of an integer string, which longer mantissas meet.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 class NotFullRank(ValueError):
@@ -62,10 +70,19 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
-        entries = tuple(
-            tuple(Fraction(str(x)) for x in row) for row in obj["entries"]
-        )
+        entries = tuple(tuple(_entry(str(x)) for x in row) for row in obj["entries"])
         return cls(json_int(obj["k"]), json_int(obj["n"]), entries)
+
+
+def _entry(text: str) -> Fraction:
+    """An exact matrix entry, refusing a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT before it is expanded."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+        )
+    return Fraction(text)
 
 
 def _integer_columns(matrix: RationalMatrix) -> list[list[int]]:

@@ -6,7 +6,9 @@ For a loopless rank-2 positroid the deficient flats (closed sets whose
 rank falls short of their size) are exactly the ranked essential sets;
 a loopless rank-2 matroid, described by its partition into parallel
 classes, is a positroid iff every class is a cyclic interval.  In rank 3
-and up the two families genuinely differ.
+and up the two families genuinely differ.  Because the classes are cyclic
+intervals, a rank-2 positroid's classes are read from interval ranks
+alone; only the deficient flats enumerate bases.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CyclicInterval, mask_to_interval
-from .essential import RankedEssentialFamily
+from .essential import RankedEssentialFamily, rank_from_family
 from .geometry import TooLarge, bases
 
 
@@ -121,48 +123,29 @@ def parallel_classes(family: RankedEssentialFamily) -> list[frozenset[int]] | No
     """Parallel classes of a loopless rank-2 positroid, or None if not one.
 
     Elements are parallel when their two-element set has rank 1; in rank 2
-    this is an equivalence partitioning the ground set.
+    this is an equivalence partitioning the ground set.  The classes of a
+    positroid are cyclic intervals, so e and a are parallel exactly when
+    one of the two arcs [a, e] and [e, a] has rank 1.
     """
     n = family.n
     if family.k != 2:
         return None
-    singles = [
-        rank_of_pairset(family, (e,)) for e in range(1, n + 1)
-    ]
-    if any(r == 0 for r in singles):
+    if any(
+        rank_from_family(family, CyclicInterval(n, e, 1)) == 0
+        for e in range(1, n + 1)
+    ):
         return None  # has a loop
     classes: list[set[int]] = []
     for e in range(1, n + 1):
         for cls in classes:
-            anchor = next(iter(cls))
-            if rank_of_pairset(family, (anchor, e)) == 1:
+            a = min(cls)
+            arcs = (
+                CyclicInterval.from_endpoints(n, a, e),
+                CyclicInterval.from_endpoints(n, e, a),
+            )
+            if min(rank_from_family(family, arc) for arc in arcs) == 1:
                 cls.add(e)
                 break
         else:
             classes.append({e})
     return [frozenset(c) for c in classes]
-
-
-def rank_of_pairset(family: RankedEssentialFamily, elements: tuple[int, ...]) -> int:
-    """Rank of a set of at most two elements, via interval ranks."""
-    from .essential import rank_from_family
-
-    n = family.n
-    if len(elements) == 1:
-        return rank_from_family(family, CyclicInterval(n, elements[0], 1))
-    a, b = elements
-    iv = CyclicInterval.from_endpoints(n, a, b)
-    alt = CyclicInterval.from_endpoints(n, b, a)
-    if iv.length == 2:
-        return rank_from_family(family, iv)
-    if alt.length == 2:
-        return rank_from_family(family, alt)
-    # not adjacent: rank of {a, b} is 1 iff every basis misses one of them
-    from .geometry import bases as all_bases
-
-    best = 0
-    for basis in all_bases(family):
-        best = max(best, (a in basis) + (b in basis))
-        if best == 2:
-            break
-    return best

@@ -207,6 +207,17 @@ class TestFromMatrix:
         code, out, err = run(["from-matrix", path], capsys)
         assert code == 1 and out == "" and err.startswith("error: bad matrix")
 
+    @pytest.mark.parametrize("entry", ["1e5000", "1e-5000"])
+    def test_huge_decimal_exponent_is_malformed(self, write_json, capsys, entry):
+        path = write_json("m.json", {"k": 1, "n": 2, "entries": [[entry, "1"]]})
+        code, out, err = run(["from-matrix", path], capsys)
+        assert code == 1 and out == "" and err.startswith("error: bad matrix")
+
+    def test_large_decimal_exponent_accepted(self, write_json, capsys):
+        path = write_json("m.json", {"k": 1, "n": 2, "entries": [["1e300", "1"]]})
+        code, out, _ = run(["from-matrix", path], capsys)
+        assert code == 0 and json.loads(out)["window"] == [2, 3]
+
     def test_nonneg_check_runs_once(self, write_json, capsys, monkeypatch):
         calls = []
         check = realize.is_positively_realizing
@@ -440,6 +451,12 @@ class TestDeterminism:
         assert len(outputs) == 1
 
 
+def test_parser_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    main(["enumerate", "--n", "1"])
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_subprocess_entry_point(tmp_path):
     path = tmp_path / "perm.json"
     path.write_text(json.dumps(PERM_A))
@@ -521,16 +538,11 @@ _documents = _json | st.one_of(
 )
 
 
-_FUZZ_PARSER = cli.build_parser()
-
-
 @settings(max_examples=300, deadline=None)
 @given(_documents)
 def test_fuzzed_documents_exit_with_a_documented_code(doc):
     text = json.dumps(doc)
-    # one parser serves every call: building it is most of a call's cost
-    with mock.patch.object(cli, "build_parser", lambda: _FUZZ_PARSER), \
-            mock.patch.object(sys, "stdin", SimpleNamespace(read=lambda: text)), \
+    with mock.patch.object(sys, "stdin", SimpleNamespace(read=lambda: text)), \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         codes = {argv[0]: main([argv[0], "-", *argv[1:]]) for argv in FUZZ_COMMANDS}
     assert set(codes.values()) <= {0, 1, 2, 3}, (codes, text)

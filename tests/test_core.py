@@ -9,7 +9,9 @@ from positroids.core import (
     NotBijective,
     count_permutations,
     enumerate_permutations,
+    mask_arcs,
     mask_to_interval,
+    residue,
 )
 
 
@@ -57,6 +59,27 @@ class TestCyclicInterval:
         iv = CyclicInterval(6, 5, 3)
         assert mask_to_interval(6, iv.mask()) == iv
         assert mask_to_interval(4, 0b0101) is None
+
+    def test_mask_arcs_are_the_maximal_runs(self):
+        # disjoint runs in order of start, covering the mask, each bounded
+        # by non-members on both sides; mask_to_interval is the one-run case
+        for n in range(1, 10):
+            full = (1 << n) - 1
+            for mask in range(1 << n):
+                arcs = mask_arcs(n, mask)
+                assert [a.start for a in arcs] == sorted(a.start for a in arcs)
+                union = 0
+                for arc in arcs:
+                    assert union & arc.mask() == 0
+                    union |= arc.mask()
+                    if mask != full:
+                        before = residue(arc.start - 1, n)
+                        after = residue(arc.end + 1, n)
+                        assert not mask >> (before - 1) & 1
+                        assert not mask >> (after - 1) & 1
+                assert union == mask
+                single = mask_to_interval(n, mask)
+                assert single == (arcs[0] if len(arcs) == 1 else None)
 
     def test_mask_matches_residue_loop(self):
         for n in range(1, 13):

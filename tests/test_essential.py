@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -99,6 +100,17 @@ class TestConnected:
     def test_disjoint_cover_disconnects_full(self):
         F = family(4, 2, [(1, 1, 2), (1, 3, 2)])
         assert entry_set(connected_entries(F)) == {(1, (1, 2)), (1, (3, 2))}
+
+    def test_leaves_no_reference_cycles(self, family_a):
+        # garbage in cycles waits for the cyclic collector; a long-running
+        # caller should be able to free everything by reference counting
+        gc.collect()
+        gc.disable()
+        try:
+            connected_entries(family_a)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExcessAndCore:

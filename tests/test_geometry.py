@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,10 @@ from positroids.geometry import (
 )
 
 import diagram_reference as reference
+from boundary_reference import boundary_count_by_enumeration
+
+# the n = 7 counts stored with the benchmark, read as a second reference
+BOUNDARY_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "boundary_table.json"
 
 
 def random_permutation(rng, n):
@@ -199,6 +205,24 @@ class TestBoundaryCount:
             assert length(p) == p.rank() * (2 - p.rank())
             assert codim1_boundary_count(p) == 0
 
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            codim1_boundary_count(BoundedAffinePermutation.uniform(3, 10))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_enumeration_reference(self, n):
+        for p in enumerate_permutations(n):
+            assert codim1_boundary_count(p) == boundary_count_by_enumeration(p), p
+
+    def test_matches_stored_n7_counts(self):
+        table = json.loads(BOUNDARY_TABLE.read_text())["counts"]
+        assert len(table) == 240
+        for key, count in table.items():
+            window = [int(v) for v in key.split(",")]
+            assert len(window) == 7
+            p = BoundedAffinePermutation.from_window(window)
+            assert codim1_boundary_count(p) == count, key
+
+    def test_uniform_closed_form(self):
+        # U(k, n) has n boundary cells for 2 <= k <= n - 1 and none otherwise
+        for n in range(1, 65):
+            for k in range(n + 1):
+                expected = n if 2 <= k <= n - 1 else 0
+                u = BoundedAffinePermutation.uniform(k, n)
+                assert codim1_boundary_count(u) == expected, (k, n)

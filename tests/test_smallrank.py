@@ -2,6 +2,7 @@ import pytest
 
 from positroids.core import BoundedAffinePermutation, enumerate_permutations
 from positroids import diagram, smallrank
+from positroids.geometry import bases
 from positroids.essential import RankedEssentialFamily
 from positroids.smallrank import (
     HasLoop,
@@ -88,3 +89,21 @@ class TestRank2Criterion:
                 continue
             expected = frozenset(frozenset(c) for c in part) in realizable
             assert is_positroid_rank2(n, part) == expected
+
+
+class TestParallelClasses:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_match_basis_parallel_relation(self, n):
+        # e and a are parallel when no basis holds both; a loop is in no basis
+        for p in enumerate_permutations(n):
+            F = diagram.ranked_essential_family(p)
+            expected = None
+            if F.k == 2 and not p.loops():
+                found = [set(b) for b in bases(F)]
+                expected = {
+                    frozenset(a for a in range(1, n + 1)
+                              if a == e or not any({a, e} <= b for b in found))
+                    for e in range(1, n + 1)
+                }
+            classes = smallrank.parallel_classes(F)
+            assert (classes if classes is None else set(classes)) == expected, p
