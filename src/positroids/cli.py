@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 from . import diagram, essential, geometry, realize, retrieval, smallrank
 from .core import (
@@ -43,7 +44,7 @@ class _Malformed(Exception):
 
 def _read_json(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as e:
         raise _Malformed(str(e))
     try:
@@ -137,10 +138,7 @@ def _cmd_rank(args) -> int:
                     f"rank disagreement: permutation {direct}, family {via_family}"
                 )
     else:
-        if args.both:
-            perm = essential.permutation_from_family(family)  # the certificate
-        else:
-            essential.validated(family)
+        perm = essential.permutation_from_family(family)  # the certificate
         direct = essential.rank_from_family(family, interval)
         if args.both:
             via_perm = perm.rank_interval(interval)
@@ -198,10 +196,7 @@ def _cmd_codim(args) -> int:
             print(value, other)
             return EXIT_OK
     else:
-        if args.both:
-            perm = essential.permutation_from_family(family)  # the certificate
-        else:
-            essential.validated(family)
+        perm = essential.permutation_from_family(family)  # the certificate
         value = geometry.codim_from_family(family)
         if args.both:
             other = geometry.length(perm)
@@ -264,12 +259,13 @@ def _enumerate_shard(n: int, k: int | None, first: int) -> list[list[int]]:
 
 def _cmd_enumerate(args) -> int:
     n, k = args.n, args.k
+    perms = enumerate_permutations(n, k=k)  # refuses n < 1 before any worker starts
     if args.jobs > 1:
-        for window in _sharded(args.jobs, _enumerate_shard, range(1, n + 2), n, k):
-            _print_window(args.format, n, window)
+        windows = _sharded(args.jobs, _enumerate_shard, range(1, n + 2), n, k)
     else:
-        for p in enumerate_permutations(n, k=k):
-            _print_window(args.format, n, list(p.window))
+        windows = (list(p.window) for p in perms)
+    for window in windows:
+        _print_window(args.format, n, window)
     return EXIT_OK
 
 

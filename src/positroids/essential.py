@@ -43,7 +43,7 @@ class NotValidated(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    rule: str  # "E1", "E2", "E3", or "E3-cover"
+    rule: str  # "E1", "E2" or "E3"
     entries: tuple[Entry, ...]
     message: str
 
@@ -304,12 +304,7 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
     values = [0] * len(entries)
     for a in sorted(range(len(entries)), key=lambda a: entries[a][1].length):
         r, iv = entries[a]
-        subtracted = inside[a]
-        if iv.is_full:
-            covered = set()
-            for b in subtracted:
-                covered.update(inside[b])
-            subtracted = [b for b in subtracted if b not in covered]
+        subtracted = _maximal(inside, inside[a]) if iv.is_full else inside[a]
         values[a] = iv.length - r - sum([values[b] for b in subtracted])
     return dict(zip([iv for _, iv in entries], values))
 
@@ -320,12 +315,18 @@ def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     return _canonical([e for e in family.entries if table[e[1]] > 0])
 
 
-def _gap_between(n: int, a: CyclicInterval, b: CyclicInterval) -> CyclicInterval | None:
-    """Interval strictly between a's end and b's start, None when adjacent."""
-    gap_len = (b.start - a.end - 1) % n
-    if gap_len == 0:
-        return None
-    return CyclicInterval(n, residue(a.end + 1, n), gap_len)
+def _minimal(inside: tuple[tuple[int, ...], ...], group: list[int]) -> list[int]:
+    """The members of group holding no other member, in group's order."""
+    members = set(group)
+    return [a for a in group if members.isdisjoint(inside[a])]
+
+
+def _maximal(inside: tuple[tuple[int, ...], ...], group: list[int]) -> list[int]:
+    """The members of group inside no other member, in group's order."""
+    held: set[int] = set()
+    for a in group:
+        held.update(inside[a])
+    return [a for a in group if a not in held]
 
 
 def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
@@ -339,14 +340,43 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     E2  nested entries have strictly increasing rank, with the increase
         strictly below the size difference (non-strict against [1, n]).
     E3  the cyclic submodular inequalities for disjoint and overlapping
-        pairs, taking minimal covering and maximal contained entries.
+        pairs of proper entries, against the minimal entries covering
+        their union arc and the maximal entries inside the gap or the
+        overlap; a pair meeting in two arcs must leave each arc its rank.
 
-    All violations are reported, not just the first.
+    The containment index supplies all containment: E2's nested pairs
+    are its lists, and each E3 pair takes its covers from the entries
+    holding one of the pair and its contents from the entries inside
+    one, keeps those placed on the arc in question, and minimises or
+    maximises them through the index.  The checker is O(E^3) to O(E^4)
+    for E entries.  All violations are reported, not just the first.
     """
     n, k = family.n, family.k
     violations: list[Violation] = []
     entries = family.entries
     masks = family._masks
+    inside = family.inside()
+    ranks = [r for r, _ in entries]
+    starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
+    lengths = [iv.length for _, iv in entries]
+    holders: list[list[int]] = [[] for _ in entries]
+    for b, held in enumerate(inside):
+        for a in held:
+            holders[a].append(b)
+
+    def covers(p: int, length: int) -> list[int]:
+        """Minimal entries holding the arc of this length from p's start."""
+        return _minimal(inside, [
+            c for c in holders[p]
+            if lengths[c] == n or (starts[p] - starts[c]) % n + length <= lengths[c]
+        ])
+
+    def bounds(c: int, start: int, length: int) -> list[int]:
+        """Bounds on the rank of the arc of this length from start, one per
+        maximal entry inside both c and the arc: its rank plus the arc's
+        elements outside it.  With no entry inside, the arc's size."""
+        group = [b for b in inside[c] if (starts[b] - start) % n + lengths[b] <= length]
+        return [ranks[b] + length - lengths[b] for b in _maximal(inside, group)] or [length]
 
     # E1
     for r, iv in entries:
@@ -373,156 +403,68 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
 
     # E2 over nested pairs; the full set participates as the outer
     # interval with the lower bound only (its upper bound is E1's).
-    for a, (r1, iv1) in enumerate(entries):
-        if iv1.is_full:
-            continue
-        for b, (r2, iv2) in enumerate(entries):
-            if a == b or masks[a] & ~masks[b]:
-                continue
-            if r2 - r1 <= 0:
-                violations.append(
-                    Violation(
-                        "E2", ((r1, iv1), (r2, iv2)),
-                        f"nested ranks not strictly increasing: {r1} -> {r2}",
-                    )
-                )
-            if not iv2.is_full and r2 - r1 >= (masks[b] & ~masks[a]).bit_count():
-                violations.append(
-                    Violation(
-                        "E2", ((r1, iv1), (r2, iv2)),
-                        "rank increase not below size difference",
-                    )
-                )
+    nested = sorted((a, b) for b, held in enumerate(inside) for a in held)
+    for a, b in nested:
+        (r1, iv1), (r2, iv2) = pair = entries[a], entries[b]
+        if r2 - r1 <= 0:
+            violations.append(Violation(
+                "E2", pair, f"nested ranks not strictly increasing: {r1} -> {r2}"
+            ))
+        if not iv2.is_full and r2 - r1 >= lengths[b] - lengths[a]:
+            violations.append(Violation(
+                "E2", pair, "rank increase not below size difference"
+            ))
 
-    # E3
-    proper = [(e, m) for e, m in zip(entries, masks) if not e[1].is_full]
-    for x in range(len(proper)):
-        for y in range(len(proper)):
-            if x == y:
+    # E3 over ordered pairs of proper entries that are not nested (E2's)
+    nested_pairs = set(nested)
+    proper = [a for a in range(len(entries)) if lengths[a] < n]
+    for x in proper:
+        for y in proper:
+            if x == y or (x, y) in nested_pairs or (y, x) in nested_pairs:
                 continue
-            (e1, m1), (e2, m2) = proper[x], proper[y]
-            inter = m1 & m2
-            if inter == m1 or inter == m2:
-                continue  # nested: E2 territory
-            if inter == 0:
+            inter = masks[x] & masks[y]
+            if not inter:
                 if x > y:
-                    continue  # handle each unordered disjoint pair once, both ways below
-                violations.extend(_check_e3_disjoint(family, e1, e2))
-                violations.extend(_check_e3_disjoint(family, e2, e1))
-            else:
-                arcs = mask_arcs(n, inter)
-                if len(arcs) > 1:
-                    if x < y:
-                        violations.extend(_check_e3_two_arc(family, e1, e2, arcs))
-                    continue
-                overlap = arcs[0]
-                if not (e1[1].contains(e2[1].start) and e2[1].contains(residue(e1[1].end, n))):
-                    continue  # handled from the orientation where e2 starts inside e1
-                violations.extend(_check_e3_overlap(family, e1, e2, overlap))
+                    continue  # each unordered disjoint pair once, both ways
+                for p, q in ((x, y), (y, x)):  # p, then the gap, then q
+                    gap_start = (starts[p] + lengths[p]) % n
+                    gap = (starts[q] - gap_start) % n
+                    found = covers(p, lengths[p] + gap + lengths[q])
+                    gap_bounds = bounds(found[0], gap_start, gap)  # in every cover
+                    violations += [
+                        Violation("E3", (entries[p], entries[q], entries[c]),
+                                  "disjoint-pair inequality fails")
+                        for c in found for bound in gap_bounds
+                        if ranks[p] + ranks[q] < ranks[c] - bound
+                    ]
+                continue
+            arcs = mask_arcs(n, inter)
+            if len(arcs) > 1:
+                # the union is the whole circle: the intersection rank
+                # implied by submodularity must not undercut either arc's
+                if x < y:
+                    estimate = sum(
+                        min(bounds(x, arc.start - 1, arc.length)) for arc in arcs
+                    )
+                    implied = min(ranks[x] + ranks[y] - k, estimate)
+                    if any(implied < rank_from_family(family, arc) for arc in arcs):
+                        violations.append(Violation(
+                            "E3", (entries[x], entries[y]),
+                            "two-arc intersection rank inconsistent",
+                        ))
+                continue
+            offset = (starts[y] - starts[x]) % n
+            overlap = lengths[x] - offset
+            if offset >= lengths[x] or overlap > lengths[y]:
+                continue  # taken from the orientation where y starts inside x
+            overlap_bounds = bounds(x, starts[y], overlap)
+            violations += [
+                Violation("E3", (entries[x], entries[y], entries[c]),
+                          "overlapping-pair inequality fails")
+                for c in covers(x, offset + lengths[y]) for bound in overlap_bounds
+                if ranks[x] + ranks[y] < ranks[c] + bound
+            ]
     return violations
-
-
-def _covering_minimal(family: RankedEssentialFamily, arc: CyclicInterval) -> list[Entry]:
-    amask = arc.mask()
-    covering = [
-        (e, m) for e, m in zip(family.entries, family._masks) if amask & ~m == 0
-    ]
-    return [
-        e
-        for e, m in covering
-        if not any(m2 != m and m2 & ~m == 0 for _, m2 in covering)
-    ]
-
-
-def _contained_maximal(
-    family: RankedEssentialFamily, region: CyclicInterval | None
-) -> list[tuple[int, CyclicInterval | None]]:
-    if region is None:
-        return [(0, None)]
-    rmask = region.mask()
-    inside = [
-        (e, m) for e, m in zip(family.entries, family._masks) if m & ~rmask == 0
-    ]
-    maximal = [
-        e for e, m in inside if not any(m2 != m and m & ~m2 == 0 for _, m2 in inside)
-    ]
-    return maximal if maximal else [(0, None)]
-
-
-def _uncovered(region: CyclicInterval | None, sub: CyclicInterval | None) -> int:
-    if region is None:
-        return 0
-    if sub is None:
-        return region.length
-    return (region.mask() & ~sub.mask()).bit_count()
-
-
-def _check_e3_disjoint(
-    family: RankedEssentialFamily, e1: Entry, e2: Entry
-) -> list[Violation]:
-    """Case of disjoint intervals, oriented e1 then gap then e2."""
-    n = family.n
-    (r1, iv1), (r2, iv2) = e1, e2
-    arc = CyclicInterval.from_endpoints(n, iv1.start, iv2.end)
-    gap = _gap_between(n, iv1, iv2)
-    covers = _covering_minimal(family, arc)
-    if not covers:
-        return [Violation("E3-cover", (e1, e2), f"no entry contains the arc {arc}")]
-    out = []
-    for r3, iv3 in covers:
-        for r4, iv4 in _contained_maximal(family, gap):
-            if r1 + r2 < r3 - r4 - _uncovered(gap, iv4):
-                out.append(
-                    Violation(
-                        "E3", (e1, e2, (r3, iv3)),
-                        "disjoint-pair inequality fails",
-                    )
-                )
-    return out
-
-
-def _check_e3_two_arc(
-    family: RankedEssentialFamily, e1: Entry, e2: Entry, arcs: list[CyclicInterval]
-) -> list[Violation]:
-    """Pair intersecting in two arcs: the union is the whole circle and
-    the intersection rank implied by submodularity must not undercut the
-    rank either arc already carries."""
-    k = family.k
-    (r1, _), (r2, _) = e1, e2
-    term = r1 + r2 - k
-    estimate = sum(
-        min(r + _uncovered(arc, iv) for r, iv in _contained_maximal(family, arc))
-        for arc in arcs
-    )
-    implied = min(term, estimate)
-    if any(implied < rank_from_family(family, arc) for arc in arcs):
-        return [Violation("E3", (e1, e2), "two-arc intersection rank inconsistent")]
-    return []
-
-
-def _check_e3_overlap(
-    family: RankedEssentialFamily, e1: Entry, e2: Entry, overlap: CyclicInterval
-) -> list[Violation]:
-    """Case of one-sided overlap: e2 starts inside e1 and ends outside."""
-    n = family.n
-    (r1, iv1), (r2, iv2) = e1, e2
-    union_arc = CyclicInterval.from_endpoints(n, iv1.start, iv2.end)
-    covers = _covering_minimal(family, union_arc)
-    if not covers:
-        return [
-            Violation("E3-cover", (e1, e2), f"no entry contains the arc {union_arc}")
-        ]
-    out = []
-    for r3, iv3 in covers:
-        for r4, iv4 in _contained_maximal(family, overlap):
-            if r1 + r2 < r3 + r4 + _uncovered(overlap, iv4):
-                out.append(
-                    Violation(
-                        "E3", (e1, e2, (r3, iv3)),
-                        "overlapping-pair inequality fails",
-                    )
-                )
-    return out
 
 
 def validated(family: RankedEssentialFamily) -> RankedEssentialFamily:

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .core import BoundedAffinePermutation, json_int
-from .geometry import TooLarge
+from .geometry import BASES_BOUND, TooLarge
 
 
 # Largest decimal exponent a matrix entry may carry, in magnitude: an
@@ -171,9 +171,11 @@ def permutation_from_matrix(matrix: RationalMatrix) -> BoundedAffinePermutation:
     pi(i) is the least j >= i with rank [i, j] = rank [i+1, j], i.e. with
     column i in the span of columns i+1, ..., j (indices mod n); a zero
     column is a loop with pi(i) = i and a column outside the span of all
-    others is a coloop.
+    others is a coloop.  The sign check reads all C(n, k) maximal minors,
+    so n is bounded as for bases (TooLarge beyond BASES_BOUND).
     """
     n, k = matrix.n, matrix.k
+    TooLarge.check(n, BASES_BOUND)
     cols = _full_rank_columns(matrix)
     if not is_positively_realizing(matrix):
         raise NotNonNegative("matrix has a negative maximal minor")

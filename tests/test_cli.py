@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
@@ -218,6 +220,17 @@ class TestFromMatrix:
         code, out, _ = run(["from-matrix", path], capsys)
         assert code == 0 and json.loads(out)["window"] == [2, 3]
 
+    def test_size_bound(self, write_json, capsys):
+        # every maximal minor is checked, so n is bounded as for bases
+        def vandermonde(n):  # k = 2, every minor positive
+            return write_json("m.json", {"k": 2, "n": n, "entries": [[1] * n, list(range(n))]})
+
+        code, out, _ = run(["from-matrix", vandermonde(16)], capsys)
+        assert code == 0 and json.loads(out)["window"] == list(range(3, 19))
+        assert run(["from-matrix", vandermonde(17)], capsys) == (
+            1, "", "error: n=17 exceeds bound 16\n"
+        )
+
     def test_nonneg_check_runs_once(self, write_json, capsys, monkeypatch):
         calls = []
         check = realize.is_positively_realizing
@@ -278,6 +291,13 @@ class TestJobs:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         run(["enumerate", "--n", "3", "--jobs", "8"], capsys)
         assert pool == [1]
+
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_enumerate_refuses_nonpositive_n_before_any_pool(self, pool, capsys, n):
+        serial = run(["enumerate", "--n", n], capsys)
+        assert serial == (1, "", "error: n must be positive\n")
+        assert run(["enumerate", "--n", n, "--jobs", "2"], capsys) == serial
+        assert pool == []
 
     def test_bases_bound_holds_when_sharded(self, pool, write_json, capsys):
         path = write_json("f.json", {"n": 17, "k": 1, "sets": []})
@@ -449,6 +469,16 @@ class TestDeterminism:
             _, out, _ = run(["essentials", path, "--excess"], capsys)
             outputs.add(out)
         assert len(outputs) == 1
+
+
+def test_input_file_is_closed(write_json, capsys):
+    path = write_json("f.json", FAMILY_A)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", path]) == 0
+        gc.collect()
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_parser_built_once_per_process(capsys):

@@ -1,8 +1,10 @@
 import gc
 import importlib.util
 import random
+import sys
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -24,14 +26,27 @@ from positroids.essential import (
     validate_chess,
 )
 
+from chess_reference import validate_chess as validate_chess_by_rescan
 from connected_reference import connected_by_search, excess_by_rescan, rank_from_connected
 
-# the benchmark's independent sweeps for connectedness and excess, loaded
-# read-only from their file: they reach n = 128, where the searches cannot
-ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
-_spec = importlib.util.spec_from_file_location("perfbench_oracle", ORACLE_PATH)
-oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name, **imported):
+    """perfbench/<name>.py as a module, read-only from its file, with the
+    benchmark modules it imports by name."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module, **imported}):
+        spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's independent sweeps for connectedness and excess: they
+# reach n = 128, where the searches cannot; and its workloads, whose
+# reject spoilers make the invalid families the checker explains
+oracle = load_perfbench("oracle")
+workloads = load_perfbench("workloads", oracle=oracle)
 
 
 def family(n, k, sets):
@@ -214,26 +229,16 @@ class TestValidateChess:
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_exhaustive_soundness_and_completeness(self, n):
-        # every candidate family: each proper interval absent or labelled
-        # 0..|I|, with k from 0 to n + 1; exactly the extracted ones pass
+        # exactly the extracted candidates pass
         genuine = {
             diagram.ranked_essential_family(p) for p in enumerate_permutations(n)
         }
-        proper = [
-            CyclicInterval(n, s, l) for s in range(1, n + 1) for l in range(1, n)
-        ]
-        choices = [[None, *range(iv.length + 1)] for iv in proper]
         accepted, certified = set(), set()
-        for k in range(n + 2):
-            for labels in product(*choices):
-                entries = [(r, iv) for r, iv in zip(labels, proper) if r is not None]
-                F = RankedEssentialFamily.build(
-                    n, k, entries + [(k, CyclicInterval.full(n))]
-                )
-                if not validate_chess(F):
-                    accepted.add(F)
-                if certificate_violations(F) is None:
-                    certified.add(F)
+        for F in candidate_families(n):
+            if not validate_chess(F):
+                accepted.add(F)
+            if certificate_violations(F) is None:
+                certified.add(F)
         assert accepted == genuine == certified
 
     def test_valid_candidates_are_genuine(self):
@@ -258,6 +263,21 @@ class TestValidateChess:
             back = diagram.ranked_essential_family(permutation_from_family(F))
             assert set(back.entries) == set(F.entries)
         assert accepted > 100
+
+
+def candidate_families(n):
+    """Every candidate family on [n]: each proper interval absent or
+    labelled 0..|I|, with k from 0 to n + 1."""
+    proper = [
+        CyclicInterval(n, s, l) for s in range(1, n + 1) for l in range(1, n)
+    ]
+    choices = [[None, *range(iv.length + 1)] for iv in proper]
+    for k in range(n + 2):
+        for labels in product(*choices):
+            entries = [(r, iv) for r, iv in zip(labels, proper) if r is not None]
+            yield RankedEssentialFamily.build(
+                n, k, entries + [(k, CyclicInterval.full(n))]
+            )
 
 
 def certificate_violations(F):
@@ -316,20 +336,36 @@ def perturbed(rng, F):
         return None
 
 
+def perturbed_families(count=3000):
+    """``count`` seeded near misses of genuine families at n = 4..12."""
+    rng = random.Random(4)
+    made = 0
+    while made < count:
+        n = rng.randint(4, 12)
+        p = BoundedAffinePermutation.from_window(random_window(rng, n))
+        F = perturbed(rng, diagram.ranked_essential_family(p))
+        if F is not None:
+            made += 1
+            yield F
+
+
+def spoiled_families(n, count):
+    """``count`` genuine families on [n], each spoiled the way the
+    benchmark's reject workload spoils its inputs."""
+    rng = random.Random(f"spoiled:{n}")
+    spoilers = (workloads._raise_to_length, workloads._raise_inner, workloads._near_miss)
+    for idx, (_, F) in enumerate(workloads.stratified(rng, n, count)):
+        entries = workloads._family_entries(F)
+        spoilers[idx % 3](rng, entries, n) or workloads._raise_to_length(rng, entries, n)
+        yield RankedEssentialFamily.from_json(workloads._family_doc(n, F.k, entries))
+
+
 class TestCertificate:
     def test_agrees_with_axioms_on_perturbed_families(self):
-        # near misses of genuine families at n = 4..12: the round trip
-        # accepts exactly what the axioms accept, and every rejection
-        # comes with at least one violation
-        rng = random.Random(4)
-        checked = rejected = 0
-        while checked < 3000:
-            n = rng.randint(4, 12)
-            p = BoundedAffinePermutation.from_window(random_window(rng, n))
-            F = perturbed(rng, diagram.ranked_essential_family(p))
-            if F is None:
-                continue
-            checked += 1
+        # the round trip accepts exactly what the axioms accept, and every
+        # rejection comes with at least one violation
+        rejected = 0
+        for F in perturbed_families():
             violations = certificate_violations(F)
             if violations is None:
                 assert validate_chess(F) == []
@@ -341,6 +377,27 @@ class TestCertificate:
     def test_uniform_family_at_n_64(self):
         F = family(64, 32, [])
         assert permutation_from_family(F) == BoundedAffinePermutation.uniform(32, 64)
+
+
+class TestAgainstChessReference:
+    """The checker reading the containment index against the one that
+    rescans masks: the same violations in the same order, duplicates
+    included, on families that mostly fail validation."""
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_every_candidate(self, n):
+        for F in candidate_families(n):
+            assert validate_chess(F) == validate_chess_by_rescan(F)
+
+    def test_perturbed(self):
+        for F in perturbed_families():
+            assert validate_chess(F) == validate_chess_by_rescan(F)
+
+    @pytest.mark.parametrize("n, count", [(16, 60), (24, 60), (40, 24)])
+    def test_spoiled_as_in_reject(self, n, count):
+        for F in spoiled_families(n, count):
+            violations = validate_chess(F)
+            assert violations and violations == validate_chess_by_rescan(F)
 
 
 class TestRankFunctionFromAxioms:
@@ -421,6 +478,16 @@ class TestAgainstReferences:
         for n in range(7, 41):
             for _ in range(4):
                 assert_matches_references(window_family(oracle.criterion08_window(rng, n)))
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_index_on_every_candidate(self, n):
+        # mostly invalid families, which the axiom checker reads it on
+        for F in candidate_families(n):
+            assert_index_is_mask_containment(F)
+
+    def test_index_on_perturbed(self):
+        for F in perturbed_families():
+            assert_index_is_mask_containment(F)
 
     @pytest.mark.parametrize("n, count", [(64, 4), (128, 1)])
     def test_large_windows_against_oracle(self, n, count):
