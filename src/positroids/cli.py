@@ -10,7 +10,8 @@ same per-set schema, matrices ``{"k": .., "n": .., "entries": [[...]]}``
 with entries as integers, decimals, or "p/q" strings.
 
 Exit codes: 0 success, 1 malformed input, 2 inconsistent rank conditions
-(retrieve), 3 validation failure.  Collections are serialized in a fixed
+(retrieve), 3 validation failure, 4 the two routes of ``rank --both`` or
+``codim --both`` disagree.  Collections are serialized in a fixed
 canonical order so identical inputs give byte-identical output.
 """
 
@@ -36,10 +37,15 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_INVALID_FAMILY = 3
+EXIT_ROUTES_DISAGREE = 4
 
 
 class _Malformed(Exception):
     pass
+
+
+class _Disagreement(Exception):
+    """The two computation routes of a --both command gave different values."""
 
 
 def _read_json(path: str) -> dict:
@@ -134,7 +140,7 @@ def _cmd_rank(args) -> int:
                 diagram.ranked_essential_family(perm), interval
             )
             if direct != via_family:
-                raise AssertionError(
+                raise _Disagreement(
                     f"rank disagreement: permutation {direct}, family {via_family}"
                 )
     else:
@@ -143,7 +149,7 @@ def _cmd_rank(args) -> int:
         if args.both:
             via_perm = perm.rank_interval(interval)
             if direct != via_perm:
-                raise AssertionError(
+                raise _Disagreement(
                     f"rank disagreement: family {direct}, permutation {via_perm}"
                 )
     print(direct)
@@ -192,7 +198,7 @@ def _cmd_codim(args) -> int:
         if args.both:
             other = geometry.codim_from_family(diagram.ranked_essential_family(perm))
             if value != other:
-                raise AssertionError(f"codim disagreement: {value} vs {other}")
+                raise _Disagreement(f"codim disagreement: {value} vs {other}")
             print(value, other)
             return EXIT_OK
     else:
@@ -201,7 +207,7 @@ def _cmd_codim(args) -> int:
         if args.both:
             other = geometry.length(perm)
             if value != other:
-                raise AssertionError(f"codim disagreement: {value} vs {other}")
+                raise _Disagreement(f"codim disagreement: {value} vs {other}")
             print(value, other)
             return EXIT_OK
     print(value)
@@ -228,13 +234,14 @@ def _sharded(jobs: int, func, firsts: range, *args) -> list:
 
 
 def _cmd_bases(args) -> int:
-    family = essential.validated(_load_family(_read_json(args.input)))
+    family = _load_family(_read_json(args.input))
+    perm = essential.permutation_from_family(family)  # the certificate
     n, k = family.n, family.k
     if args.jobs > 1 and k > 0:
         geometry.TooLarge.check(n, geometry.BASES_BOUND)
-        found = _sharded(args.jobs, geometry.bases, range(1, n - k + 2), family)
+        found = _sharded(args.jobs, geometry.bases, range(1, n - k + 2), perm)
     else:
-        found = geometry.bases(family)
+        found = geometry.bases(perm)
     if args.format == "json":
         print(_dump([list(b) for b in found]))
     else:
@@ -363,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except _Malformed as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
+    except _Disagreement as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ROUTES_DISAGREE
     except ValueError as e:
         if isinstance(e, essential.NotValidated):
             for v in e.violations:

@@ -243,6 +243,34 @@ class BoundedAffinePermutation:
             1 for l in range(interval.start, end + 1) if self.eval(l) > end
         )
 
+    def interval_ranks(self) -> tuple[tuple[int, ...], ...]:
+        """Every interval rank in one O(n^2) table: entry [c - 1][ln] is
+        the rank of the cyclic interval of length ln (0 to n) from c.
+
+        Each row sweeps the end e of the interval from c.  Extending to e
+        adds 1 when pi(e) > e and takes 1 away when inverse_at(e) lies in
+        [c, e); together, it adds 1 exactly when inverse_at(e) < c.
+
+        >>> p = BoundedAffinePermutation.from_window([3, 4, 8, 7, 6, 9, 10, 13])
+        >>> p.interval_ranks()[4]  # from 5: [5], [5, 6], ..., [5, 4]
+        (0, 1, 1, 2, 3, 3, 3, 3, 3)
+        >>> p.interval_ranks()[1][4] == p.rank_interval(CyclicInterval(8, 2, 4))
+        True
+        """
+        n = self.n
+        back = [0] * n  # back[e - 1] = e - inverse_at(e), by residue
+        for i, v in enumerate(self.window, start=1):
+            back[(v - 1) % n] = v - i
+        table = []
+        for c in range(n):
+            row = [0]
+            rank = 0
+            for ln in range(1, n + 1):
+                rank += back[(c + ln - 1) % n] >= ln  # inverse_at(e) <= c - 1
+                row.append(rank)
+            table.append(tuple(row))
+        return tuple(table)
+
     def rank(self) -> int:
         return self.rank_interval(CyclicInterval.full(self.n))
 

@@ -447,7 +447,11 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                         min(bounds(x, arc.start - 1, arc.length)) for arc in arcs
                     )
                     implied = min(ranks[x] + ranks[y] - k, estimate)
-                    if any(implied < rank_from_family(family, arc) for arc in arcs):
+                    if any(  # a rank never exceeds its arc's size
+                        implied < arc.length
+                        and implied < rank_from_family(family, arc)
+                        for arc in arcs
+                    ):
                         violations.append(Violation(
                             "E3", (entries[x], entries[y]),
                             "two-arc intersection rank inconsistent",

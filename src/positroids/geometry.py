@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import BoundedAffinePermutation, CyclicInterval
-from .essential import (
-    RankedEssentialFamily,
-    connected_entries,
-    excess,
-    rank_from_family,
-)
+from .essential import RankedEssentialFamily, connected_entries, excess
 
 
 class TooLarge(ValueError):
@@ -116,35 +111,79 @@ def facet_system(family: RankedEssentialFamily) -> FacetSystem:
 
 
 def bases(
-    family: RankedEssentialFamily, bound: int = BASES_BOUND, first: int | None = None
+    p: BoundedAffinePermutation, bound: int = BASES_BOUND, first: int | None = None
 ) -> list[tuple[int, ...]]:
     """All bases of the positroid: k-subsets meeting every interval rank cap.
 
     Returned sorted lexicographically as tuples of elements of [n].  With
     first given (and k >= 1), only the bases whose least element it is:
     the lex shards used for parallel enumeration.
+
+    A k-subset S is a basis exactly when |S & I| <= rank(I) for every
+    proper cyclic interval I.  Each such I is a linear interval [c, d] or
+    the complement of one, whose cap reads |S & [c, d]| >= k - rank(I).
+    So with P(e) = |S & [1, e]|, every proper [c, d] must have
+    lo <= P(d) - P(c - 1) <= hi.  A depth-first search decides e = 1..n
+    in turn, taking e before leaving it out (which yields lex order), and
+    checks the caps ending at e as soon as e is decided.  Caps that every
+    k-subset meets are dropped, so its cost follows the number of bases,
+    not C(n, k).  The ranks come from one interval-rank table.
     """
-    n, k = family.n, family.k
+    n = p.n
     TooLarge.check(n, bound)
-    caps = []
-    for start in range(1, n + 1):
-        for ln in range(1, n):
-            iv = CyclicInterval(n, start, ln)
-            caps.append((iv.mask(), rank_from_family(family, iv)))
-    if first is None:
-        subsets = combinations(range(1, n + 1), k)
-    else:
-        subsets = (
-            (first, *rest) for rest in combinations(range(first + 1, n + 1), k - 1)
-        )
-    out = []
-    for subset in subsets:
-        mask = 0
-        for e in subset:
-            mask |= 1 << (e - 1)
-        if all((mask & imask).bit_count() <= cap for imask, cap in caps):
-            out.append(subset)
+    table = p.interval_ranks()
+    k = table[0][n]
+    caps: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for c in range(1, d + 1):
+            ln = d - c + 1
+            if ln == n:
+                continue
+            hi = table[c - 1][ln]
+            lo = k - table[d % n][n - ln]  # the complement starts at d + 1
+            if hi < min(ln, k) or lo > max(0, k - (n - ln)):
+                caps[d].append((c - 1, lo, hi))
+    choices = [(1, 0)] * (n + 1)
+    if first is not None:
+        choices[1:first] = [(0,)] * (first - 1)
+        choices[first] = (1,)
+    out: list[tuple[int, ...]] = []
+    _search(1, n, k, caps, choices, [0] * (n + 1), [], out)
     return out
+
+
+def _search(
+    e: int,
+    n: int,
+    k: int,
+    caps: list[list[tuple[int, int, int]]],
+    choices: list[tuple[int, ...]],
+    prefix: list[int],
+    chosen: list[int],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Append to out every basis extending the decided elements before e,
+    of which prefix counts the chosen ones.  It recurses on itself, not
+    through a nested closure, which would leave a reference cycle on
+    every call."""
+    if e > n:
+        out.append(tuple(chosen))
+        return
+    before = prefix[e - 1]
+    for take in choices[e]:
+        count = before + take
+        if count > k or count + n - e < k:
+            continue
+        for c, lo, hi in caps[e]:
+            if not lo <= count - prefix[c] <= hi:
+                break
+        else:
+            prefix[e] = count
+            if take:
+                chosen.append(e)
+            _search(e + 1, n, k, caps, choices, prefix, chosen, out)
+            if take:
+                chosen.pop()
 
 
 def codim1_boundary_count(p: BoundedAffinePermutation) -> int:

@@ -16,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CyclicInterval, mask_to_interval
-from .essential import RankedEssentialFamily, rank_from_family
+from .essential import (
+    RankedEssentialFamily,
+    permutation_from_family,
+    rank_from_family,
+)
 from .geometry import TooLarge, bases
 
 
@@ -49,11 +53,14 @@ def _subset_rank_table(n: int, basis_masks: list[int]) -> list[int]:
 def deficient_flats(
     family: RankedEssentialFamily, bound: int = 12
 ) -> DeficientFlatFamily:
-    """All deficient flats of the positroid, computed from its bases."""
+    """All deficient flats of the positroid, computed from its bases.
+
+    The bases come from the family's certified permutation, so a family
+    that fails validation raises NotValidated."""
     n = family.n
     TooLarge.check(n, bound)
     basis_masks = []
-    for b in bases(family, bound=bound):
+    for b in bases(permutation_from_family(family), bound=bound):
         m = 0
         for e in b:
             m |= 1 << (e - 1)

@@ -157,6 +157,7 @@ def test_criterion_07_exhaustive_roundtrip():
         assert time.perf_counter() - start < 300
 
 
+@pytest.mark.slow
 def test_criterion_08_rank_formula_equivalence():
     with criterion(8, "rank formulas agree: n <= 7 exhaustive plus 10^4 random at n = 12"):
         for n in range(1, 8):
@@ -231,6 +232,7 @@ def _check_exchange_axiom(basis_rows, n):
         assert (overlaps > 0).all()
 
 
+@pytest.mark.slow
 def test_criterion_10_polytope_basis_oracle():
     with criterion(10, "n <= 8 exhaustive: bases non-empty, exchange axiom, facet lattice points"):
         for n in range(1, 9):

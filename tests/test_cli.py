@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from positroids import cli, diagram, essential, realize
+from positroids import cli, diagram, essential, geometry, realize
 from positroids.cli import main
 from positroids.core import BoundedAffinePermutation, count_permutations
 
@@ -331,7 +331,7 @@ class TestFamilyValidatedOnce:
         code, _, _ = run([argv[0], path, *argv[1:]], capsys)
         assert code == 0 and calls == {"retrieve": 1, "validate_chess": 0}
 
-    @pytest.mark.parametrize("command", ["validate", "polytope"])
+    @pytest.mark.parametrize("command", ["validate", "polytope", "bases"])
     def test_single_route(self, write_json, capsys, calls, command):
         path = write_json("f.json", FAMILY_A)
         code, _, _ = run([command, path], capsys)
@@ -340,7 +340,7 @@ class TestFamilyValidatedOnce:
     @pytest.mark.parametrize(
         "argv",
         [["validate"], ["polytope"], ["codim", "--both"],
-         ["rank", "--interval", "2,4", "--both"]],
+         ["rank", "--interval", "2,4", "--both"], ["bases"], ["bases", "--jobs", "2"]],
     )
     def test_rejection_explained_once(self, write_json, capsys, calls, argv):
         bad = {**FAMILY_A, "sets": [{"rank": 0, "start": 5, "len": 2},
@@ -349,6 +349,39 @@ class TestFamilyValidatedOnce:
         code, out, err = run([argv[0], path, *argv[1:]], capsys)
         assert code == 3 and (out or err).startswith("E")
         assert calls == {"retrieve": 1, "validate_chess": 1}
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bases_validates_before_the_bound(self, write_json, capsys, calls, jobs):
+        # n = 17 is over the bound, but the rejection (exit 3) comes first
+        bad = {"n": 17, "k": 3, "sets": [{"rank": 2, "start": 1, "len": 2}]}
+        path = write_json("f.json", bad)
+        code, out, err = run(["bases", path, "--jobs", jobs], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("E1: |I| > r fails")
+        assert calls == {"retrieve": 1, "validate_chess": 1}
+
+
+class TestRoutesDisagree:
+    """A --both disagreement exits 4 with the two values on stderr."""
+
+    @pytest.mark.parametrize(
+        "doc, argv, owner, name, err",
+        [
+            (PERM_A, ["rank", "--interval", "4,4"], essential, "rank_from_family",
+             "error: rank disagreement: permutation 2, family 3\n"),
+            (FAMILY_A, ["rank", "--interval", "2,4"], essential, "rank_from_family",
+             "error: rank disagreement: family 4, permutation 3\n"),
+            (PERM_A, ["codim"], geometry, "length",
+             "error: codim disagreement: 6 vs 5\n"),
+            (FAMILY_A, ["codim"], geometry, "length",
+             "error: codim disagreement: 5 vs 6\n"),
+        ],
+    )
+    def test_exit_4(self, write_json, capsys, monkeypatch, doc, argv, owner, name, err):
+        route = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: route(*args) + 1)
+        path = write_json("in.json", doc)
+        assert run([argv[0], path, *argv[1:], "--both"], capsys) == (4, "", err)
 
 
 class TestStrictInput:

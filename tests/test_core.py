@@ -162,6 +162,17 @@ class TestRank:
         assert BoundedAffinePermutation.uniform(2, 6).rank() == 2
         assert BoundedAffinePermutation.from_window([1, 2, 3]).rank() == 0
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_interval_rank_table(self, n):
+        for p in enumerate_permutations(n):
+            table = p.interval_ranks()
+            assert len(table) == n
+            for start, row in enumerate(table, start=1):
+                assert row == tuple(
+                    [0] + [p.rank_interval(CyclicInterval(n, start, ln))
+                           for ln in range(1, n + 1)]
+                ), (p, start)
+
     def test_loops_coloops(self):
         p = BoundedAffinePermutation.from_window([5, 6, 4, 7, 8])
         assert p.loops() == frozenset() and p.coloops() == frozenset()

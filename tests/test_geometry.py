@@ -20,6 +20,7 @@ from positroids.geometry import (
 )
 
 import diagram_reference as reference
+from bases_reference import bases_by_scan
 from boundary_reference import boundary_count_by_enumeration
 from connected_reference import rank_from_connected
 
@@ -110,11 +111,11 @@ class TestFacetSystem:
         assert len(system.inequalities) == 3
         assert all(r < iv.length for iv, r in system.inequalities)
 
-    def test_lattice_points_are_basis_indicators(self, family_a):
+    def test_lattice_points_are_basis_indicators(self, perm_a, family_a):
         pts = facet_system(family_a).binary_lattice_points()
         indicators = {
             tuple(1 if e in b else 0 for e in range(1, 9))
-            for b in bases(family_a)
+            for b in bases(perm_a)
         }
         assert pts == indicators
 
@@ -122,10 +123,11 @@ class TestFacetSystem:
     def test_double_enumeration_at_larger_sizes(self, n):
         rng = random.Random(n)
         for _ in range(200):
-            F = diagram.ranked_essential_family(random_permutation(rng, n))
+            p = random_permutation(rng, n)
+            F = diagram.ranked_essential_family(p)
             indicators = {
                 tuple(1 if e in b else 0 for e in range(1, n + 1))
-                for b in bases(F)
+                for b in bases(p)
             }
             assert facet_system(F).binary_lattice_points() == indicators
 
@@ -137,16 +139,15 @@ class TestFacetSystem:
 
 class TestBases:
     def test_uniform_all_subsets(self):
-        F = diagram.ranked_essential_family(BoundedAffinePermutation.uniform(2, 6))
-        assert len(bases(F)) == 15
+        assert len(bases(BoundedAffinePermutation.uniform(2, 6))) == 15
 
-    def test_example_excludes_parallel_pair(self, family_a):
-        found = bases(family_a)
+    def test_example_excludes_parallel_pair(self, perm_a):
+        found = bases(perm_a)
         assert found
         assert all(not (5 in b and 6 in b) for b in found)
 
-    def test_exchange_axiom_spot(self, family_a):
-        found = [frozenset(b) for b in bases(family_a)]
+    def test_exchange_axiom_spot(self, perm_a):
+        found = [frozenset(b) for b in bases(perm_a)]
         universe = set(found)
         for A in found[:10]:
             for B in found[:10]:
@@ -155,21 +156,52 @@ class TestBases:
                         (A - {a}) | {b} in universe for b in B - A
                     )
 
-    def test_too_large(self, family_a):
+    def test_too_large(self, perm_a):
         with pytest.raises(TooLarge):
-            bases(family_a, bound=4)
+            bases(perm_a, bound=4)
         with pytest.raises(TooLarge):
-            bases(family_a, bound=4, first=1)
+            bases(perm_a, bound=4, first=1)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_shards_partition_the_bases(self, n):
         for p in enumerate_permutations(n):
-            F = diagram.ranked_essential_family(p)
-            if F.k == 0:
+            k = p.rank()
+            if k == 0:
                 continue
-            shards = [bases(F, first=f) for f in range(1, n - F.k + 2)]
-            assert [b for shard in shards for b in shard] == bases(F)
+            shards = [bases(p, first=f) for f in range(1, n - k + 2)]
+            assert [b for shard in shards for b in shard] == bases(p)
             assert all(b[0] == f for f, s in enumerate(shards, 1) for b in s)
+
+
+def _assert_matches_scan(p):
+    """bases equals the k-subset scan, in full and shard by shard."""
+    F = diagram.ranked_essential_family(p)
+    assert bases(p) == bases_by_scan(F), p
+    for f in range(1, p.n - F.k + 2) if F.k else ():
+        assert bases(p, first=f) == bases_by_scan(F, first=f), (p, f)
+
+
+class TestBasesAgainstScan:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_permutation(self, n):
+        for p in enumerate_permutations(n):
+            _assert_matches_scan(p)
+
+    @pytest.mark.parametrize("n", range(10, 17))
+    def test_seeded_permutations(self, n):
+        rng = random.Random(f"bases:{n}")
+        for _ in range(3):
+            _assert_matches_scan(random_permutation(rng, n))
+
+    @pytest.mark.parametrize("k", range(17))
+    def test_uniform(self, k):
+        # the uniform matroids have no binding cap: every k-subset is a basis
+        _assert_matches_scan(BoundedAffinePermutation.uniform(k, 16))
+
+    @pytest.mark.parametrize("n", [1, 7, 16])
+    def test_all_loops_and_all_coloops(self, n):
+        for window in (range(1, n + 1), range(n + 1, 2 * n + 1)):
+            _assert_matches_scan(BoundedAffinePermutation.from_window(window))
 
 
 class TestVarietyConditions:

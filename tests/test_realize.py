@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from positroids import diagram, geometry, realize
+from positroids import geometry, realize
 from positroids.realize import (
     NotFullRank,
     NotNonNegative,
@@ -158,8 +158,7 @@ class TestEndToEnd:
         M = RationalMatrix.from_rows(rows)
         assert is_positively_realizing(M)
         p = permutation_from_matrix(M)
-        F = diagram.ranked_essential_family(p)
-        assert matroid_bases(M) == geometry.bases(F)
+        assert matroid_bases(M) == geometry.bases(p)
 
 
 def test_matrix_json_roundtrip():

@@ -3,7 +3,7 @@ import pytest
 from positroids.core import BoundedAffinePermutation, enumerate_permutations
 from positroids import diagram, smallrank
 from positroids.geometry import bases
-from positroids.essential import RankedEssentialFamily
+from positroids.essential import NotValidated, RankedEssentialFamily
 from positroids.smallrank import (
     HasLoop,
     NotRank2,
@@ -41,6 +41,13 @@ class TestDeficientFlats:
     def test_uniform_rank2_only_full(self):
         F = diagram.ranked_essential_family(BoundedAffinePermutation.uniform(2, 6))
         assert deficient_flats(F).as_set() == {(2, frozenset(range(1, 7)))}
+
+    def test_invalid_family_refused(self):
+        # rank 0 on [1, 2] inside rank 0 on [1, 3] breaks E2
+        F = family(5, 2, [(0, 1, 2), (0, 1, 3)])
+        with pytest.raises(NotValidated) as caught:
+            deficient_flats(F)
+        assert [v.rule for v in caught.value.violations] == ["E2"]
 
 
 class TestRank2Criterion:
@@ -99,7 +106,7 @@ class TestParallelClasses:
             F = diagram.ranked_essential_family(p)
             expected = None
             if F.k == 2 and not p.loops():
-                found = [set(b) for b in bases(F)]
+                found = [set(b) for b in bases(p)]
                 expected = {
                     frozenset(a for a in range(1, n + 1)
                               if a == e or not any({a, e} <= b for b in found))
