@@ -9,7 +9,8 @@ omitted), rank conditions ``{"n": .., "conditions": [...]}`` with the
 same per-set schema, matrices ``{"k": .., "n": .., "entries": [[...]]}``
 with entries as integers, decimals, or "p/q" strings.
 
-Exit codes: 0 success, 1 malformed input, 2 inconsistent rank conditions
+Exit codes: 0 success, 1 malformed input or a usage error (argparse's
+usage text and message go to stderr), 2 inconsistent rank conditions
 (retrieve), 3 validation failure, 4 the two routes of ``rank --both`` or
 ``codim --both`` disagree.  Collections are serialized in a fixed
 canonical order so identical inputs give byte-identical output.
@@ -364,7 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse printed the help (0) or a usage error
+        return EXIT_OK if e.code == 0 else EXIT_MALFORMED
     try:
         return args.func(args)
     except _Malformed as e:

@@ -15,6 +15,8 @@ only to explain a rejected family by its violations.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -22,7 +24,6 @@ from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
     json_int,
-    mask_arcs,
     residue,
 )
 from .retrieval import InvalidInput, conditions_from_family, retrieve
@@ -344,39 +345,45 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
         their union arc and the maximal entries inside the gap or the
         overlap; a pair meeting in two arcs must leave each arc its rank.
 
-    The containment index supplies all containment: E2's nested pairs
-    are its lists, and each E3 pair takes its covers from the entries
-    holding one of the pair and its contents from the entries inside
-    one, keeps those placed on the arc in question, and minimises or
-    maximises them through the index.  The checker is O(E^3) to O(E^4)
-    for E entries.  All violations are reported, not just the first.
+    E2's nested pairs are the containment index's lists.  Each E3 pair is
+    classified by the offsets of its starts, and reads its union, gap and
+    overlap from a per-arc index built within the call: for each arc
+    asked about, the minimal entries covering it and the sorted bounds
+    its maximal contents put on its rank.  An arc costs an O(E) scan plus
+    the containment lists of the entries it finds, so the checker is
+    O(E^2) for the pairs plus that for each of the A <= min(E^2, n^2)
+    distinct arcs, plus the size of its output.  All violations are
+    reported, not just the first.
     """
     n, k = family.n, family.k
     violations: list[Violation] = []
     entries = family.entries
-    masks = family._masks
     inside = family.inside()
+    everyone = range(len(entries))
     ranks = [r for r, _ in entries]
     starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
     lengths = [iv.length for _, iv in entries]
-    holders: list[list[int]] = [[] for _ in entries]
-    for b, held in enumerate(inside):
-        for a in held:
-            holders[a].append(b)
 
-    def covers(p: int, length: int) -> list[int]:
-        """Minimal entries holding the arc of this length from p's start."""
+    @functools.cache
+    def covers(start: int, length: int) -> list[int]:
+        """Minimal entries holding the arc, in index order."""
         return _minimal(inside, [
-            c for c in holders[p]
-            if lengths[c] == n or (starts[p] - starts[c]) % n + length <= lengths[c]
+            c for c in everyone
+            if lengths[c] == n or (start - starts[c]) % n + length <= lengths[c]
         ])
 
-    def bounds(c: int, start: int, length: int) -> list[int]:
-        """Bounds on the rank of the arc of this length from start, one per
-        maximal entry inside both c and the arc: its rank plus the arc's
-        elements outside it.  With no entry inside, the arc's size."""
-        group = [b for b in inside[c] if (starts[b] - start) % n + lengths[b] <= length]
-        return [ranks[b] + length - lengths[b] for b in _maximal(inside, group)] or [length]
+    @functools.cache
+    def contents(start: int, length: int) -> list[int]:
+        """Sorted bounds on the arc's rank, one per maximal entry inside
+        it: its rank plus the arc's elements outside it.  With no entry
+        inside, the arc's size."""
+        group = [b for b in everyone if (starts[b] - start) % n + lengths[b] <= length]
+        maximal = _maximal(inside, group)
+        return sorted([ranks[b] + length - lengths[b] for b in maximal]) or [length]
+
+    @functools.cache
+    def arc_rank(start: int, length: int) -> int:
+        return rank_from_family(family, CyclicInterval(n, start + 1, length))
 
     # E1
     for r, iv in entries:
@@ -403,8 +410,7 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
 
     # E2 over nested pairs; the full set participates as the outer
     # interval with the lower bound only (its upper bound is E1's).
-    nested = sorted((a, b) for b, held in enumerate(inside) for a in held)
-    for a, b in nested:
+    for a, b in sorted((a, b) for b, held in enumerate(inside) for a in held):
         (r1, iv1), (r2, iv2) = pair = entries[a], entries[b]
         if r2 - r1 <= 0:
             violations.append(Violation(
@@ -416,58 +422,53 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
             ))
 
     # E3 over ordered pairs of proper entries that are not nested (E2's)
-    nested_pairs = set(nested)
-    proper = [a for a in range(len(entries)) if lengths[a] < n]
+    held = [set(group) for group in inside]
+    proper = [a for a in everyone if lengths[a] < n]
     for x in proper:
+        sx, lx = starts[x], lengths[x]
         for y in proper:
-            if x == y or (x, y) in nested_pairs or (y, x) in nested_pairs:
+            if x == y or y in held[x] or x in held[y]:
                 continue
-            inter = masks[x] & masks[y]
-            if not inter:
+            sy, ly = starts[y], lengths[y]
+            ox, oy = (sy - sx) % n, (sx - sy) % n  # where each starts from the other
+            if ox >= lx and oy >= ly:
                 if x > y:
                     continue  # each unordered disjoint pair once, both ways
-                for p, q in ((x, y), (y, x)):  # p, then the gap, then q
-                    gap_start = (starts[p] + lengths[p]) % n
-                    gap = (starts[q] - gap_start) % n
-                    found = covers(p, lengths[p] + gap + lengths[q])
-                    gap_bounds = bounds(found[0], gap_start, gap)  # in every cover
-                    violations += [
-                        Violation("E3", (entries[p], entries[q], entries[c]),
-                                  "disjoint-pair inequality fails")
-                        for c in found for bound in gap_bounds
-                        if ranks[p] + ranks[q] < ranks[c] - bound
-                    ]
-                continue
-            arcs = mask_arcs(n, inter)
-            if len(arcs) > 1:
+                for p, q, offset in ((x, y, ox), (y, x, oy)):  # p, the gap, then q
+                    gap = contents((starts[p] + lengths[p]) % n, offset - lengths[p])
+                    for c in covers(starts[p], offset + lengths[q]):
+                        # the bounds below rank c - rank p - rank q fail
+                        failing = bisect_left(gap, ranks[c] - ranks[p] - ranks[q])
+                        if failing:
+                            violations += [Violation(
+                                "E3", (entries[p], entries[q], entries[c]),
+                                "disjoint-pair inequality fails",
+                            )] * failing
+            elif ox < lx and oy < ly:
                 # the union is the whole circle: the intersection rank
                 # implied by submodularity must not undercut either arc's
                 if x < y:
-                    estimate = sum(
-                        min(bounds(x, arc.start - 1, arc.length)) for arc in arcs
-                    )
+                    arcs = ((sx, ly - oy), (sy, lx - ox))
+                    estimate = sum([contents(*arc)[0] for arc in arcs])
                     implied = min(ranks[x] + ranks[y] - k, estimate)
                     if any(  # a rank never exceeds its arc's size
-                        implied < arc.length
-                        and implied < rank_from_family(family, arc)
-                        for arc in arcs
+                        implied < length and implied < arc_rank(start, length)
+                        for start, length in arcs
                     ):
                         violations.append(Violation(
                             "E3", (entries[x], entries[y]),
                             "two-arc intersection rank inconsistent",
                         ))
-                continue
-            offset = (starts[y] - starts[x]) % n
-            overlap = lengths[x] - offset
-            if offset >= lengths[x] or overlap > lengths[y]:
-                continue  # taken from the orientation where y starts inside x
-            overlap_bounds = bounds(x, starts[y], overlap)
-            violations += [
-                Violation("E3", (entries[x], entries[y], entries[c]),
-                          "overlapping-pair inequality fails")
-                for c in covers(x, offset + lengths[y]) for bound in overlap_bounds
-                if ranks[x] + ranks[y] < ranks[c] + bound
-            ]
+            elif ox < lx:  # y starts inside x and ends past it; else (y, x) does
+                overlap, room = contents(sy, lx - ox), ranks[x] + ranks[y]
+                for c in covers(sx, ox + ly):
+                    # the bounds above rank x + rank y - rank c fail
+                    failing = len(overlap) - bisect_right(overlap, room - ranks[c])
+                    if failing:
+                        violations += [Violation(
+                            "E3", (entries[x], entries[y], entries[c]),
+                            "overlapping-pair inequality fails",
+                        )] * failing
     return violations
 
 

@@ -44,10 +44,32 @@ class DeficientFlatFamily:
 
 
 def _subset_rank_table(n: int, basis_masks: list[int]) -> list[int]:
-    """rank(S) = max |S & B| over bases, for every subset mask."""
-    return [
-        max((S & B).bit_count() for B in basis_masks) for S in range(1 << n)
-    ]
+    """rank(S) for every subset mask, in O(2^n·n).
+
+    The independent sets are the subsets of bases: marking the bases and
+    then, going down by mask, every set one element short of a marked
+    one marks them all.  An independent S has rank |S|.  Any other S has
+    the rank of S less an element of a circuit inside it: its lowest
+    element when the rest is independent, else the one found for the rest.
+    """
+    independent = bytearray(1 << n)
+    for B in basis_masks:
+        independent[B] = 1
+    for S in range((1 << n) - 1, 0, -1):
+        if independent[S]:
+            for x in range(n):
+                if S >> x & 1:
+                    independent[S ^ 1 << x] = 1
+    rank = [0] * (1 << n)
+    in_circuit = [0] * (1 << n)  # for a dependent S, one element of a circuit in S
+    for S in range(1, 1 << n):
+        if independent[S]:
+            rank[S] = S.bit_count()
+        else:
+            rest = S & S - 1  # S less its lowest element
+            in_circuit[S] = S & -S if independent[rest] else in_circuit[rest]
+            rank[S] = rank[S ^ in_circuit[S]]
+    return rank
 
 
 def deficient_flats(

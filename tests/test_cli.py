@@ -436,6 +436,29 @@ class TestStrictInput:
         assert code == 3 and out == "" and err.startswith("E1")
 
 
+class TestUsageErrors:
+    """argparse's usage errors are malformed input: exit 1, not the 2 of
+    inconsistent rank conditions, with argparse's usage and message on
+    stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rank", "in.json"], "the following arguments are required: --interval"),
+            (["enumerate", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+    )
+    def test_exit_1(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: positroids") and message in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run(["--help"], capsys)
+        assert code == 0 and out.startswith("usage: positroids") and err == ""
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_count_matches_oracle(self, n, capsys):

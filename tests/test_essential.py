@@ -393,7 +393,7 @@ class TestAgainstChessReference:
         for F in perturbed_families():
             assert validate_chess(F) == validate_chess_by_rescan(F)
 
-    @pytest.mark.parametrize("n, count", [(16, 60), (24, 60), (40, 24)])
+    @pytest.mark.parametrize("n, count", [(16, 60), (24, 60), (40, 24), (64, 3)])
     def test_spoiled_as_in_reject(self, n, count):
         for F in spoiled_families(n, count):
             violations = validate_chess(F)

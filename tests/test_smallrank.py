@@ -21,6 +21,13 @@ def family(n, k, sets):
     )
 
 
+def subset_rank_by_scan(n, basis_masks):
+    """rank(S) = max |S & B| over bases, for every subset mask."""
+    return [
+        max((S & B).bit_count() for B in basis_masks) for S in range(1 << n)
+    ]
+
+
 class TestDeficientFlats:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_rank2_flats_equal_family(self, n):
@@ -41,6 +48,14 @@ class TestDeficientFlats:
     def test_uniform_rank2_only_full(self):
         F = diagram.ranked_essential_family(BoundedAffinePermutation.uniform(2, 6))
         assert deficient_flats(F).as_set() == {(2, frozenset(range(1, 7)))}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rank_table_against_basis_scan(self, n):
+        for p in enumerate_permutations(n):
+            basis_masks = [sum([1 << e - 1 for e in b]) for b in bases(p)]
+            assert smallrank._subset_rank_table(n, basis_masks) == (
+                subset_rank_by_scan(n, basis_masks)
+            )
 
     def test_invalid_family_refused(self):
         # rank 0 on [1, 2] inside rank 0 on [1, 3] breaks E2
