@@ -193,6 +193,9 @@ class BoundedAffinePermutation:
     _inv: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    _rows: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         inv = [None] * self.n
@@ -234,45 +237,47 @@ class BoundedAffinePermutation:
         pos, val = self._inv[j % self.n]
         return pos + (j - val)
 
+    def ranks_from(self, start: int) -> tuple[int, ...]:
+        """The ranks of the cyclic intervals from ``start``: entry ln is the
+        rank of the interval of length ln (0 to n).  Built on first use in
+        one O(n) sweep and kept.
+
+        The sweep extends the interval to its end e.  That adds 1 when
+        pi(e) > e and takes 1 away when inverse_at(e) lies in [start, e);
+        together, it adds 1 exactly when inverse_at(e) < start, that is
+        when e - inverse_at(e) >= ln.
+        """
+        row = self._rows.get(start)
+        if row is None:
+            inv, n = self._inv, self.n
+            ranks = [0]
+            rank = 0
+            for ln in range(1, n + 1):
+                pos, val = inv[(start + ln - 1) % n]
+                rank += val - pos >= ln
+                ranks.append(rank)
+            row = self._rows[start] = tuple(ranks)
+        return row
+
     def rank_interval(self, interval: CyclicInterval) -> int:
         """Number of l in the interval with pi(l) beyond its right endpoint."""
         if interval.n != self.n:
             raise ValueError("interval ground set does not match permutation")
-        end = interval.end
-        return sum(
-            1 for l in range(interval.start, end + 1) if self.eval(l) > end
-        )
+        return self.ranks_from(interval.start)[interval.length]
 
     def interval_ranks(self) -> tuple[tuple[int, ...], ...]:
-        """Every interval rank in one O(n^2) table: entry [c - 1][ln] is
-        the rank of the cyclic interval of length ln (0 to n) from c.
-
-        Each row sweeps the end e of the interval from c.  Extending to e
-        adds 1 when pi(e) > e and takes 1 away when inverse_at(e) lies in
-        [c, e); together, it adds 1 exactly when inverse_at(e) < c.
+        """Every interval rank: entry [c - 1][ln] is ``ranks_from(c)[ln]``.
 
         >>> p = BoundedAffinePermutation.from_window([3, 4, 8, 7, 6, 9, 10, 13])
         >>> p.interval_ranks()[4]  # from 5: [5], [5, 6], ..., [5, 4]
         (0, 1, 1, 2, 3, 3, 3, 3, 3)
-        >>> p.interval_ranks()[1][4] == p.rank_interval(CyclicInterval(8, 2, 4))
-        True
         """
-        n = self.n
-        back = [0] * n  # back[e - 1] = e - inverse_at(e), by residue
-        for i, v in enumerate(self.window, start=1):
-            back[(v - 1) % n] = v - i
-        table = []
-        for c in range(n):
-            row = [0]
-            rank = 0
-            for ln in range(1, n + 1):
-                rank += back[(c + ln - 1) % n] >= ln  # inverse_at(e) <= c - 1
-                row.append(rank)
-            table.append(tuple(row))
-        return tuple(table)
+        return tuple([self.ranks_from(c) for c in range(1, self.n + 1)])
 
     def rank(self) -> int:
-        return self.rank_interval(CyclicInterval.full(self.n))
+        """The mean of pi(i) - i over the window, with no rank row built."""
+        n = self.n
+        return (sum(self.window) - n * (n + 1) // 2) // n
 
     def loops(self) -> frozenset[int]:
         return frozenset(i for i in range(1, self.n + 1) if self.window[i - 1] == i)

@@ -70,8 +70,7 @@ def ranked_essential_family(p: BoundedAffinePermutation) -> RankedEssentialFamil
     n = p.n
     entries = []
     for i, m in corners(p):
-        interval = CyclicInterval(n, i, m)
-        entries.append((p.rank_interval(interval), interval))
+        entries.append((p.ranks_from(i)[m], CyclicInterval(n, i, m)))
     k = p.rank()
     full = CyclicInterval.full(n)
     if not any(interval == full for _, interval in entries):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import (
     BoundedAffinePermutation,
@@ -477,14 +477,6 @@ def validated(family: RankedEssentialFamily) -> RankedEssentialFamily:
     certifies it, else NotValidated with the axiom violations."""
     permutation_from_family(family)
     return family
-
-
-def rank_function_from_axioms(
-    family: RankedEssentialFamily,
-) -> Callable[[CyclicInterval], int]:
-    """The rank function induced by a family passing the chess axioms."""
-    validated(family)
-    return lambda interval: rank_from_family(family, interval)
 
 
 def permutation_from_family(

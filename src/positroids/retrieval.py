@@ -27,7 +27,6 @@ from .core import (
     CyclicInterval,
     CyclicOrder,
     json_int,
-    residue,
 )
 
 Square = tuple[int, int]
@@ -122,9 +121,6 @@ class ProperDotting:
     def undotted_rows(self) -> list[int]:
         return [h for h in range(1, self.n + 1) if h not in self.cols]
 
-    def is_maximal(self) -> bool:
-        return len(self.cols) == self.n
-
     def is_proper(self) -> bool:
         diags = [(row + col) % self.n for row, col in self.cols.items()]
         return len(set(diags)) == len(diags)
@@ -132,17 +128,15 @@ class ProperDotting:
     def d(self, sq: Square) -> int:
         """Dots in the triangle T at ``sq``.
 
-        A square belongs to T when some lift of its row lands in the band
-        with a column bound it meets; the lowest lift gives the weakest
-        bound, so each dot is tested once there.
+        The dot of row h at column c lies in T(i, m) exactly when
+        c + (h - i) % n <= m.  A square belongs to T when some lift of
+        its row meets the column bound of that lift; the lowest lift,
+        t = (h - i) % n, gives the weakest bound, and as c >= 1 the
+        predicate already forces t < min(m, n).
         """
         i, m = sq
-        count = 0
-        for t in range(min(m, self.n)):
-            col = self.cols.get(residue(i + t, self.n))
-            if col is not None and col <= m - t:
-                count += 1
-        return count
+        n = self.n
+        return sum([col + (row - i) % n <= m for row, col in self.cols.items()])
 
     def window(self) -> list[int]:
         return [h + self.cols[h] - 1 for h in range(1, self.n + 1)]
@@ -176,8 +170,8 @@ def replay_trace(n: int, events: Iterable[TraceEvent]) -> BoundedAffinePermutati
 def _min_col_with_dependency(dotting: ProperDotting, h: int, r: int) -> int | None:
     """Least column b in [1, n+1] with b - 1 - d(h, b) = r, if any.
 
-    The dot of row h + t (0 <= t < n) at column c counts in d(h, b)
-    exactly when b >= c + t, so a tally of c + t gives every d(h, b) in O(n).
+    A tally of d's predicate, the least b = col + (row - h) % n at which
+    each dot counts in d(h, b), gives every d(h, b) in O(n).
     """
     n = dotting.n
     reach = [0] * (n + 2)
@@ -219,6 +213,8 @@ def retrieve(
     ordered = sorted(conditions.conditions, key=lambda c: (c[0], c[1][0], c[1][1]))
 
     for r, (i, j) in ordered:
+        # the deficit is counted once; dots are never removed, so each
+        # new dot lowers it by its own membership in T(i, j) alone
         a = j - r - dotting.d((i, j))
         log.emit("condition_start", rank=r, row=i, col=j)
         log.emit("excess_computed", value=a)
@@ -231,10 +227,10 @@ def retrieve(
                 if col is not None:
                     dotting.place(h, col)
                     log.emit("dot_placed", row=h, col=col)
-            b = j - r - dotting.d((i, j))
-            if b == a:
-                fail(NO_PROGRESS, rank=r, row=i, col=j)
-            a = b
+                    if col + (h - i) % n <= j:  # d's predicate
+                        a -= 1
+                        continue
+            fail(NO_PROGRESS, rank=r, row=i, col=j)
 
     for h in dotting.undotted_rows():
         col = _min_col_with_dependency(dotting, h, k)
@@ -243,11 +239,11 @@ def retrieve(
         dotting.place(h, col)
         log.emit("row_filled", row=h, col=col)
 
-    if not (dotting.is_maximal() and dotting.is_proper()):
+    if not dotting.is_proper():  # the fill dotted every row
         fail(NOT_PROPER)
     perm = BoundedAffinePermutation.from_window(dotting.window())
     for r, (i, j) in ordered:
-        got = perm.rank_interval(CyclicInterval(n, i, j))
+        got = perm.ranks_from(i)[j]
         if got != r:
             fail(RANK_MISMATCH, row=i, col=j, expected=r, actual=got)
     return (perm, log) if trace else perm

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,14 +165,33 @@ class TestRank:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_interval_rank_table(self, n):
+        # the direct count of the definition is the reference
+        def counted(p, start, end):
+            return sum(1 for l in range(start, end + 1) if p.eval(l) > end)
+
+        rng = random.Random(n)
         for p in enumerate_permutations(n):
             table = p.interval_ranks()
             assert len(table) == n
             for start, row in enumerate(table, start=1):
                 assert row == tuple(
-                    [0] + [p.rank_interval(CyclicInterval(n, start, ln))
-                           for ln in range(1, n + 1)]
+                    [counted(p, start, start + ln - 1) for ln in range(n + 1)]
                 ), (p, start)
+            assert p.rank() == sum(1 for i in range(1, n + 1) if p.eval(i) > n)
+            # rows fetched in any start order are the rows of a fresh copy
+            fresh = BoundedAffinePermutation(n, p.window)
+            starts = list(range(1, n + 1))
+            rng.shuffle(starts)
+            for start in starts:
+                assert fresh.ranks_from(start) == table[start - 1]
+                length = rng.randint(1, n)
+                assert fresh.rank_interval(CyclicInterval(n, start, length)) == (
+                    counted(p, start, start + length - 1)
+                )
+
+    def test_interval_of_another_ground_set(self, perm_a):
+        with pytest.raises(ValueError, match="ground set"):
+            perm_a.rank_interval(CyclicInterval(7, 2, 3))
 
     def test_loops_coloops(self):
         p = BoundedAffinePermutation.from_window([5, 6, 4, 7, 8])

@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import io
 import random
 import sys
 from itertools import product
@@ -13,7 +14,7 @@ from positroids.core import (
     CyclicInterval,
     enumerate_permutations,
 )
-from positroids import diagram, essential
+from positroids import cli, diagram, essential
 from positroids.essential import (
     NotValidated,
     RankedEssentialFamily,
@@ -22,8 +23,8 @@ from positroids.essential import (
     excess,
     permutation_from_family,
     rank_from_family,
-    rank_function_from_axioms,
     validate_chess,
+    validated,
 )
 
 from chess_reference import validate_chess as validate_chess_by_rescan
@@ -401,30 +402,33 @@ class TestAgainstChessReference:
 
 
 class TestRankFunctionFromAxioms:
+    """The rank function of a validated family is rank_from_family."""
+
     def test_requires_validation(self):
         bad = family(6, 2, [(3, 2, 3)])
         with pytest.raises(NotValidated):
-            rank_function_from_axioms(bad)
+            validated(bad)
 
     def test_entries_and_bounds(self, family_a):
-        r = rank_function_from_axioms(family_a)
-        for rank, iv in family_a.entries:
-            assert r(iv) == rank
+        F = validated(family_a)
+        for rank, iv in F.entries:
+            assert rank_from_family(F, iv) == rank
         for start in range(1, 9):
             for length in range(1, 9):
                 iv = CyclicInterval(8, start, length)
-                assert 0 <= r(iv) <= length
+                assert 0 <= rank_from_family(F, iv) <= length
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_unit_monotonicity_exhaustive(self, n):
         for p in enumerate_permutations(n):
-            F = diagram.ranked_essential_family(p)
-            r = rank_function_from_axioms(F)
+            F = validated(diagram.ranked_essential_family(p))
             for start in range(1, n + 1):
                 for length in range(1, n):
-                    v = r(CyclicInterval(n, start, length))
-                    grow_l = r(CyclicInterval(n, (start - 2) % n + 1, length + 1))
-                    grow_r = r(CyclicInterval(n, start, length + 1))
+                    v = rank_from_family(F, CyclicInterval(n, start, length))
+                    grow_l = rank_from_family(
+                        F, CyclicInterval(n, (start - 2) % n + 1, length + 1)
+                    )
+                    grow_r = rank_from_family(F, CyclicInterval(n, start, length + 1))
                     assert v <= grow_l <= v + 1
                     assert v <= grow_r <= v + 1
 
@@ -550,3 +554,40 @@ def test_rank_formula_equivalence_small(n):
                 expected = p.rank_interval(iv)
                 assert rank_from_family(F, iv) == expected
                 assert rank_from_connected(F, iv, connected) == expected
+
+
+def _bindings():
+    """Every name bound on a positroids module or on a class defined there."""
+    out = {}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name != "positroids" and not mod_name.startswith("positroids."):
+            continue
+        for name, value in vars(module).items():
+            out[module, name] = value
+            if isinstance(value, type) and value.__module__ == mod_name:
+                for attr, member in vars(value).items():
+                    out[value, attr] = member
+    return out
+
+
+@pytest.mark.parametrize("patcher", ["Tracer", "Counter"])
+def test_benchmark_tracing_resolves(patcher, capsys, monkeypatch):
+    # the traced benchmark patches layer functions and hot methods by name,
+    # so a renamed or deleted one fails here rather than in the benchmark
+    tracing = load_perfbench("tracing")
+    before = _bindings()
+    recorder = getattr(tracing, patcher)()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13]}'))
+    with recorder.installed():
+        assert _bindings() != before
+        assert cli.main(["codim", "-", "--both"]) == 0
+    assert capsys.readouterr().out == "5 5\n"
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    metrics = recorder.metrics(1)
+    if patcher == "Tracer":
+        assert metrics["cli.self_ms"] > 0
+    else:
+        assert metrics["core.rank_interval.calls"] + metrics["core.eval.calls"] > 0

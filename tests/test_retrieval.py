@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -22,6 +23,37 @@ from positroids.retrieval import (
 import diagram_reference as reference
 
 PAPER_INPUT = RankConditionSet(5, ((1, (3, 2)), (3, (1, 5))))
+KINDS = {
+    retrieval.MISSING_FULL_LABEL,
+    retrieval.NON_MAXIMAL_LABEL,
+    retrieval.NO_PROGRESS,
+    retrieval.ROW_OVERFLOW,
+    retrieval.NOT_PROPER,
+    retrieval.RANK_MISMATCH,
+}
+
+
+def random_condition_sets(seed=99, count=3000):
+    """Seeded condition sets at n <= 6: the full square and up to three
+    more, any label in [0, n]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        conds = {(1, n): rng.randint(0, n)}
+        for _ in range(rng.randint(0, 3)):
+            conds[(rng.randint(1, n), rng.randint(1, n))] = rng.randint(0, n)
+        yield RankConditionSet(n, tuple((r, sq) for sq, r in sorted(conds.items())))
+
+
+def all_labelings(n):
+    """Every condition set on [n] with the full square labeled: each other
+    square unlabeled or labeled in [0, n]."""
+    squares = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    choices = [range(n + 1) if sq == (1, n) else range(-1, n + 1) for sq in squares]
+    for labels in product(*choices):
+        yield RankConditionSet(
+            n, tuple((r, sq) for sq, r in zip(squares, labels) if r >= 0)
+        )
 
 
 class TestDottingCounters:
@@ -45,13 +77,22 @@ class TestDottingCounters:
         assert q.rank_interval(CyclicInterval(5, 1, 5)) == 3
 
     def test_min_col_matches_d_scan(self):
-        # the tally in _min_col_with_dependency against calling d per column
+        # the tally in _min_col_with_dependency against calling d per column,
+        # and d against a count over the lifts of the rows of T(h, b)
+        def d_by_lifts(dotting, i, m):
+            return sum(
+                1 for t in range(min(m, n))
+                if dotting.cols.get((i + t - 1) % n + 1, m + 1) <= m - t
+            )
+
         rng = random.Random(11)
         for _ in range(3000):
             n = rng.randint(1, 10)
             rows = rng.sample(range(1, n + 1), rng.randint(0, n))
             dotting = ProperDotting(n, {row: rng.randint(1, n + 1) for row in rows})
             h = rng.randint(1, n)
+            for b in range(0, n + 2):
+                assert dotting.d((h, b)) == d_by_lifts(dotting, h, b)
             for r in range(-1, n + 2):
                 expected = next(
                     (b for b in range(1, n + 2) if b - 1 - dotting.d((h, b)) == r),
@@ -144,22 +185,70 @@ class TestErrors:
             RankConditionSet(n, ())
 
     def test_termination_on_random_inputs(self):
-        rng = random.Random(99)
         outcomes = set()
-        for _ in range(3000):
-            n = rng.randint(1, 6)
-            conds = {(1, n): rng.randint(0, n)}
-            for _ in range(rng.randint(0, 3)):
-                conds[(rng.randint(1, n), rng.randint(1, n))] = rng.randint(0, n)
-            C = RankConditionSet(
-                n, tuple((r, sq) for sq, r in sorted(conds.items()))
-            )
+        for C in random_condition_sets():
             try:
                 retrieve(C)
                 outcomes.add("ok")
             except InvalidInput as e:
                 outcomes.add(e.kind)
         assert "ok" in outcomes and len(outcomes) > 2
+
+
+class TestDeficitCount:
+    """Retrieval counts each condition's deficit once and lowers it by one
+    per dot placed in the condition's triangle; a recount of d from a
+    replay of the trace must agree."""
+
+    @staticmethod
+    def replay(C):
+        try:
+            perm, trace = retrieve(C, trace=True)
+            error = None
+        except InvalidInput as e:
+            perm, trace, error = None, e.trace, e
+        dotting = ProperDotting(C.n)
+        for ev, after in zip(trace, [*trace[1:], None]):
+            data = ev.data
+            if ev.kind == "condition_start":
+                r, sq = data["rank"], (data["row"], data["col"])
+            elif ev.kind == "excess_computed":
+                first = data["value"]
+                assert first == sq[1] - r - dotting.d(sq)
+            elif ev.kind == "dot_placed":
+                before = dotting.d(sq)
+                dotting.place(data["row"], data["col"])
+                if dotting.d(sq) == before:  # outside the triangle
+                    assert after.kind == "error"
+                    assert after.data["kind"] == retrieval.NO_PROGRESS
+                else:
+                    assert dotting.d(sq) == before + 1
+            elif ev.kind == "row_filled":
+                dotting.place(data["row"], data["col"])
+            if ev.kind in ("excess_computed", "dot_placed") and (
+                after is None or after.kind != "dot_placed"
+            ):  # the condition's last event: its deficit is used up or stuck
+                left = sq[1] - r - dotting.d(sq)
+                if after is not None and after.data.get("kind") == retrieval.NO_PROGRESS:
+                    assert left > 0
+                else:
+                    assert left == min(first, 0)
+        if error is None:
+            assert verify_conditions(perm, C)
+            assert dotting.window() == list(perm.window)
+        else:
+            assert error.kind in KINDS
+            assert trace[-1].kind == "error" and trace[-1].data["kind"] == error.kind
+
+    def test_every_labeling_up_to_two(self):
+        sets = [C for n in (1, 2) for C in all_labelings(n)]
+        assert len(sets) == 194
+        for C in sets:
+            self.replay(C)
+
+    def test_random_condition_sets(self):
+        for C in random_condition_sets():
+            self.replay(C)
 
 
 class TestVerifyConditions:
