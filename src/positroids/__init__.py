@@ -3,7 +3,7 @@
 The package is organized around one pivot object, the bounded affine
 permutation, and the ranked essential family extracted from its diagram:
 
-- core: cyclic intervals, cyclic orders, permutations, direct ranks
+- core: cyclic intervals, permutations, direct ranks
 - diagram: the periodic dotted array, corners, family extraction
 - essential: rank reconstruction, connectedness, excess/core, axioms,
   family-to-permutation
@@ -17,9 +17,7 @@ from .core import (
     BoundedAffinePermutation,
     BoundViolation,
     CyclicInterval,
-    CyclicOrder,
     NotBijective,
-    count_permutations,
     enumerate_permutations,
 )
 from .essential import RankedEssentialFamily, NotValidated
@@ -28,10 +26,8 @@ __all__ = [
     "BoundedAffinePermutation",
     "BoundViolation",
     "CyclicInterval",
-    "CyclicOrder",
     "NotBijective",
     "NotValidated",
     "RankedEssentialFamily",
-    "count_permutations",
     "enumerate_permutations",
 ]

@@ -183,7 +183,7 @@ def _cmd_retrieve(args) -> int:
 def _cmd_validate(args) -> int:
     family = _load_family(_read_json(args.input))
     try:
-        essential.validated(family)
+        essential.permutation_from_family(family)  # the certificate
     except essential.NotValidated as e:
         for v in e.violations:
             print(str(v))
@@ -216,7 +216,8 @@ def _cmd_codim(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
-    family = essential.validated(_load_family(_read_json(args.input)))
+    family = _load_family(_read_json(args.input))
+    essential.permutation_from_family(family)  # the certificate
     system = geometry.facet_system(family)
     if args.h_rep or args.format == "text":
         print(system.h_rep_text())
@@ -236,13 +237,7 @@ def _sharded(jobs: int, func, firsts: range, *args) -> list:
 
 def _cmd_bases(args) -> int:
     family = _load_family(_read_json(args.input))
-    perm = essential.permutation_from_family(family)  # the certificate
-    n, k = family.n, family.k
-    if args.jobs > 1 and k > 0:
-        geometry.TooLarge.check(n, geometry.BASES_BOUND)
-        found = _sharded(args.jobs, geometry.bases, range(1, n - k + 2), perm)
-    else:
-        found = geometry.bases(perm)
+    found = geometry.bases(essential.permutation_from_family(family))
     if args.format == "json":
         print(_dump([list(b) for b in found]))
     else:
@@ -347,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-rep", action="store_true", help="plain-text H-representation")
 
     p = add("bases", _cmd_bases, "all bases of the positroid")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="kept for compatibility: the search always runs serially")
 
     p = add("from-matrix", _cmd_from_matrix, "permutation of a realized positroid")
     p.add_argument("--check-nonneg", action="store_true",

@@ -125,58 +125,6 @@ class CyclicInterval:
         return cls(n, json_int(obj["start"]), json_int(obj["len"]))
 
 
-def mask_arcs(n: int, mask: int) -> list[CyclicInterval]:
-    """The maximal cyclic runs of an element mask, in order of their start.
-
-    >>> mask_arcs(6, 0b110011)  # {1, 2, 5, 6} is the one run [5, 2]
-    [CyclicInterval(n=6, start=5, length=4)]
-    >>> mask_arcs(6, 0b011011)
-    [CyclicInterval(n=6, start=1, length=2), CyclicInterval(n=6, start=4, length=2)]
-    """
-    full = (1 << n) - 1
-    if mask == full:
-        return [CyclicInterval.full(n)]
-    # a run starts at e when e is in the mask and its cyclic predecessor is not
-    starts = mask & ~(mask << 1 | mask >> (n - 1))
-    arcs = []
-    while starts:
-        start = (starts & -starts).bit_length()
-        turned = (mask >> (start - 1) | mask << (n - start + 1)) & full
-        length = (~turned & (turned + 1)).bit_length() - 1  # trailing ones
-        arcs.append(CyclicInterval(n, start, length))
-        starts &= starts - 1
-    return arcs
-
-
-def mask_to_interval(n: int, mask: int) -> CyclicInterval | None:
-    """The cyclic interval with the given element mask, or None if not one.
-
-    >>> mask_to_interval(4, 0b1001)  # {1, 4} wraps: the interval [4, 1]
-    CyclicInterval(n=4, start=4, length=2)
-    >>> mask_to_interval(4, 0b0101) is None
-    True
-    """
-    arcs = mask_arcs(n, mask)
-    return arcs[0] if len(arcs) == 1 else None
-
-
-@dataclass(frozen=True)
-class CyclicOrder:
-    """The total order <_base on [1, n] with base minimal, extended to Z by residue."""
-
-    n: int
-    base: int
-
-    def key(self, x: int) -> int:
-        return (x - self.base) % self.n
-
-    def lt(self, a: int, b: int) -> bool:
-        return self.key(a) < self.key(b)
-
-    def min(self, items: Iterable[int]) -> int:
-        return min(items, key=self.key)
-
-
 @dataclass(frozen=True)
 class BoundedAffinePermutation:
     """A bounded affine permutation stored by its window on [1, n].
@@ -333,18 +281,3 @@ def _extend(
         yield from _extend(n, k, first, window, used, i + 1)
         window.pop()
         used[r] = False
-
-
-def count_permutations(n: int) -> int:
-    """Independent count of bounded affine permutations of size n.
-
-    They correspond to permutations of [n] with each fixed point marked
-    loop or coloop, so the count is sum over f of C(n,f) * 2^f * D(n-f)
-    with D the derangement numbers.
-    """
-    from math import comb
-
-    derangements = [1, 0]
-    for m in range(2, n + 1):
-        derangements.append((m - 1) * (derangements[m - 1] + derangements[m - 2]))
-    return sum(comb(n, f) * 2**f * derangements[n - f] for f in range(n + 1))

@@ -472,13 +472,6 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     return violations
 
 
-def validated(family: RankedEssentialFamily) -> RankedEssentialFamily:
-    """The family itself if the round trip of permutation_from_family
-    certifies it, else NotValidated with the axiom violations."""
-    permutation_from_family(family)
-    return family
-
-
 def permutation_from_family(
     family: RankedEssentialFamily,
 ) -> BoundedAffinePermutation:

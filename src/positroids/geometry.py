@@ -1,7 +1,7 @@
 """
 Geometric quantities of a positroid: cell codimension, polytope facets
-(which are also the variety's rank conditions), basis enumeration and
-the codimension-one boundary cells.
+(which are also the variety's rank conditions), basis enumeration by one
+serial pruned search, and the codimension-one boundary cells.
 
 The codimension of a positroid cell equals the inversion length of its
 bounded affine permutation; it can also be assembled from the family as
@@ -13,7 +13,6 @@ conditions of the positroid variety.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import BoundedAffinePermutation, CyclicInterval
 from .essential import RankedEssentialFamily, connected_entries, excess
@@ -86,20 +85,6 @@ class FacetSystem:
             rows.append(" ".join(coeffs) + f" <= {r}")
         return "\n".join(rows)
 
-    def binary_lattice_points(self) -> set[tuple[int, ...]]:
-        """The 0/1 points of the system (level sum = k)."""
-        points = set()
-        for subset in combinations(range(self.n), self.k):
-            vec = [0] * self.n
-            for i in subset:
-                vec[i] = 1
-            if all(
-                sum(vec[e - 1] for e in iv.residues()) <= r
-                for iv, r in self.inequalities
-            ):
-                points.add(tuple(vec))
-        return points
-
 
 def facet_system(family: RankedEssentialFamily) -> FacetSystem:
     """The polytope's facets; read as rank(I) <= r, its inequalities are
@@ -111,13 +96,11 @@ def facet_system(family: RankedEssentialFamily) -> FacetSystem:
 
 
 def bases(
-    p: BoundedAffinePermutation, bound: int = BASES_BOUND, first: int | None = None
+    p: BoundedAffinePermutation, bound: int = BASES_BOUND
 ) -> list[tuple[int, ...]]:
     """All bases of the positroid: k-subsets meeting every interval rank cap.
 
-    Returned sorted lexicographically as tuples of elements of [n].  With
-    first given (and k >= 1), only the bases whose least element it is:
-    the lex shards used for parallel enumeration.
+    Returned sorted lexicographically as tuples of elements of [n].
 
     A k-subset S is a basis exactly when |S & I| <= rank(I) for every
     proper cyclic interval I.  Each such I is a linear interval [c, d] or
@@ -143,12 +126,8 @@ def bases(
             lo = k - table[d % n][n - ln]  # the complement starts at d + 1
             if hi < min(ln, k) or lo > max(0, k - (n - ln)):
                 caps[d].append((c - 1, lo, hi))
-    choices = [(1, 0)] * (n + 1)
-    if first is not None:
-        choices[1:first] = [(0,)] * (first - 1)
-        choices[first] = (1,)
     out: list[tuple[int, ...]] = []
-    _search(1, n, k, caps, choices, [0] * (n + 1), [], out)
+    _search(1, n, k, caps, [0] * (n + 1), [], out)
     return out
 
 
@@ -157,7 +136,6 @@ def _search(
     n: int,
     k: int,
     caps: list[list[tuple[int, int, int]]],
-    choices: list[tuple[int, ...]],
     prefix: list[int],
     chosen: list[int],
     out: list[tuple[int, ...]],
@@ -170,7 +148,7 @@ def _search(
         out.append(tuple(chosen))
         return
     before = prefix[e - 1]
-    for take in choices[e]:
+    for take in (1, 0):
         count = before + take
         if count > k or count + n - e < k:
             continue
@@ -181,7 +159,7 @@ def _search(
             prefix[e] = count
             if take:
                 chosen.append(e)
-            _search(e + 1, n, k, caps, choices, prefix, chosen, out)
+            _search(e + 1, n, k, caps, prefix, chosen, out)
             if take:
                 chosen.pop()
 

@@ -1,6 +1,6 @@
 """
-Exact-rational realization oracle: from a matrix over Q to its matroid,
-positivity verdict, and bounded affine permutation.
+Exact-rational realization oracle: from a matrix over Q to its
+positivity verdict and the bounded affine permutation of its positroid.
 
 Everything here is exact: columns are scaled to integers and one
 fraction-free elimination gives ranks, spans and the signs of minors;
@@ -143,17 +143,6 @@ def _minor_sign(cols: list[list[int]], subset: tuple[int, ...]) -> int:
         sign *= step[1]
     inversions = sum(a > b for a, b in combinations(pivots, 2))
     return -sign if inversions % 2 else sign
-
-
-def matroid_bases(matrix: RationalMatrix, bound: int = 12) -> list[tuple[int, ...]]:
-    """Column sets with nonzero maximal minor, sorted lexicographically."""
-    TooLarge.check(matrix.n, bound)
-    cols = _full_rank_columns(matrix)
-    return [
-        subset
-        for subset in combinations(range(1, matrix.n + 1), matrix.k)
-        if _minor_sign(cols, subset)
-    ]
 
 
 def is_positively_realizing(matrix: RationalMatrix) -> bool:

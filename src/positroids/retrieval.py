@@ -22,12 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import (
-    BoundedAffinePermutation,
-    CyclicInterval,
-    CyclicOrder,
-    json_int,
-)
+from .core import BoundedAffinePermutation, CyclicInterval, json_int
 
 Square = tuple[int, int]
 
@@ -218,11 +213,10 @@ def retrieve(
         a = j - r - dotting.d((i, j))
         log.emit("condition_start", rank=r, row=i, col=j)
         log.emit("excess_computed", value=a)
-        order = CyclicOrder(n, i)
         while a > 0:
             free = dotting.undotted_rows()
             if free:
-                h = order.min(free)
+                h = min(free, key=lambda row: (row - i) % n)  # first from row i on
                 col = _min_col_with_dependency(dotting, h, r)
                 if col is not None:
                     dotting.place(h, col)
@@ -253,10 +247,9 @@ def verify_conditions(
     p: BoundedAffinePermutation, conditions: RankConditionSet
 ) -> bool:
     """True iff the permutation satisfies every rank condition exactly."""
-    return all(
-        p.rank_interval(CyclicInterval(p.n, i, j)) == r
-        for r, (i, j) in conditions.conditions
-    )
+    if conditions.n != p.n:
+        raise ValueError("interval ground set does not match permutation")
+    return all(p.ranks_from(i)[j] == r for r, (i, j) in conditions.conditions)
 
 
 def conditions_from_family(family) -> RankConditionSet:

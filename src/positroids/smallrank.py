@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CyclicInterval, mask_to_interval
+from .core import CyclicInterval
 from .essential import (
     RankedEssentialFamily,
     permutation_from_family,
@@ -139,11 +139,14 @@ def is_positroid_rank2(
         raise ValueError(f"classes do not partition [1, {n}]")
     if len(classes) < 2:
         raise NotRank2("fewer than two parallel classes gives rank below 2")
+    full = (1 << n) - 1
     for cls in classes:
         mask = 0
         for e in cls:
             mask |= 1 << (e - 1)
-        if mask_to_interval(n, mask) is None:
+        # one cyclic run: a run starts at e when its cyclic predecessor is out
+        starts = mask & ~(mask << 1 | mask >> (n - 1))
+        if mask != full and starts.bit_count() != 1:
             return False
     return True
 

@@ -6,18 +6,42 @@ It works out containment by rescanning the entries' masks on every pair:
 E2 tests every ordered pair of entries, and each E3 pair rebuilds its
 covering and contained entries and minimises them quadratically.  It is
 the reference that ``essential.validate_chess`` is checked against, down
-to the order of the violations and their duplicates.
+to the order of the violations and their duplicates.  It splits the
+meet of two entries into its maximal cyclic runs with ``mask_arcs``.
 """
 
 from __future__ import annotations
 
-from positroids.core import CyclicInterval, mask_arcs, residue
+from positroids.core import CyclicInterval, residue
 from positroids.essential import (
     Entry,
     RankedEssentialFamily,
     Violation,
     rank_from_family,
 )
+
+
+def mask_arcs(n: int, mask: int) -> list[CyclicInterval]:
+    """The maximal cyclic runs of an element mask, in order of their start.
+
+    >>> mask_arcs(6, 0b110011)  # {1, 2, 5, 6} is the one run [5, 2]
+    [CyclicInterval(n=6, start=5, length=4)]
+    >>> mask_arcs(6, 0b011011)
+    [CyclicInterval(n=6, start=1, length=2), CyclicInterval(n=6, start=4, length=2)]
+    """
+    full = (1 << n) - 1
+    if mask == full:
+        return [CyclicInterval.full(n)]
+    # a run starts at e when e is in the mask and its cyclic predecessor is not
+    starts = mask & ~(mask << 1 | mask >> (n - 1))
+    arcs = []
+    while starts:
+        start = (starts & -starts).bit_length()
+        turned = (mask >> (start - 1) | mask << (n - start + 1)) & full
+        length = (~turned & (turned + 1)).bit_length() - 1  # trailing ones
+        arcs.append(CyclicInterval(n, start, length))
+        starts &= starts - 1
+    return arcs
 
 
 def _gap_between(n: int, a: CyclicInterval, b: CyclicInterval) -> CyclicInterval | None:

@@ -14,12 +14,12 @@ import pytest
 from positroids.core import (
     BoundedAffinePermutation,
     CyclicInterval,
-    count_permutations,
     enumerate_permutations,
 )
 from positroids import diagram, essential, geometry, realize, retrieval
 
 from connected_reference import rank_from_connected
+from enumeration_reference import count_permutations
 
 WINDOW_A = (3, 4, 8, 7, 6, 9, 10, 13)
 WINDOW_BONIN = (3, 10, 8, 6, 13, 11, 9, 16, 14)

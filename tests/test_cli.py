@@ -1,11 +1,14 @@
+import argparse
 import gc
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
 from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from positroids import cli, diagram, essential, geometry, realize
 from positroids.cli import main
-from positroids.core import BoundedAffinePermutation, count_permutations
+from positroids.core import BoundedAffinePermutation
 
+from enumeration_reference import count_permutations
 from test_core import windows
 
 PERM_A = {"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13]}
@@ -280,12 +284,13 @@ class TestJobs:
         assert code == 0 and out == serial
         assert pool == [workers]
 
-    def test_bases_workers_clamped_to_shards(self, pool, write_json, capsys):
-        # k = 3 on n = 4 leaves two shards: least element 1 or 2
-        path = write_json("f.json", {"n": 4, "k": 3, "sets": []})
-        code, out, _ = run(["bases", path, "--jobs", "1000"], capsys)
-        assert code == 0 and len(json.loads(out)) == 4
-        assert pool == [2]
+    @pytest.mark.parametrize("jobs", ["0", "2", "1000"])
+    def test_bases_jobs_changes_nothing(self, pool, write_json, capsys, jobs):
+        path = write_json("f.json", FAMILY_A)
+        serial = run(["bases", path], capsys)
+        assert serial[0] == 0 and len(json.loads(serial[1])) == 44
+        assert run(["bases", path, "--jobs", jobs], capsys) == serial
+        assert pool == []
 
     def test_cpu_count_unknown_means_one_worker(self, pool, monkeypatch, capsys):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
@@ -541,6 +546,32 @@ def test_parser_built_once_per_process(capsys):
     assert cli.build_parser() is cli.build_parser()
     main(["enumerate", "--n", "1"])
     assert cli.build_parser.cache_info().misses == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_usage_matches_the_parser():
+    # the README's usage block has one line per subcommand, naming all of
+    # its long flags and no others
+    usage = README.read_text().split("## Command-line usage", 1)[1].split("```")[1]
+    lines = usage.strip().splitlines()
+    documented = {
+        line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in lines
+    }
+    subcommands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {
+            flag for action in sub._actions for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, sub in subcommands.choices.items()
+    }
+    assert len(documented) == len(lines)
+    assert documented == defined
 
 
 def test_subprocess_entry_point(tmp_path):

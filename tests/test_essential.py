@@ -24,7 +24,6 @@ from positroids.essential import (
     permutation_from_family,
     rank_from_family,
     validate_chess,
-    validated,
 )
 
 from chess_reference import validate_chess as validate_chess_by_rescan
@@ -242,6 +241,57 @@ class TestValidateChess:
                 certified.add(F)
         assert accepted == genuine == certified
 
+    def test_e1_fails_per_entry_at_4(self):
+        # an entry failing E1 is named by an E1 violation whatever else
+        # the family holds: alone, and beside random other entries
+        n = 4
+        rng = random.Random(4)
+        proper = proper_intervals(n)
+        for k, iv in product(range(n + 2), proper):
+            others = [other for other in proper if other != iv]
+            for r in range(iv.length + 1):
+                if r in e1_labels(n, k, iv):
+                    continue
+                sizes = [0] + [rng.randint(1, len(others)) for _ in range(10)]
+                for size in sizes:
+                    entries = [
+                        (rng.randint(0, o.length), o) for o in rng.sample(others, size)
+                    ]
+                    F = RankedEssentialFamily.build(
+                        n, k, [(r, iv), *entries, (k, CyclicInterval.full(n))]
+                    )
+                    assert any(
+                        v.rule == "E1" and v.entries == ((r, iv),)
+                        for v in validate_chess(F)
+                    ), F
+
+    @pytest.mark.slow
+    def test_exhaustive_over_e1_families_at_4(self):
+        # with every entry passing E1 (the families of the test above
+        # fail), exactly the 65 extracted families pass, and the
+        # certificate accepts the same ones
+        n = 4
+        genuine = {
+            diagram.ranked_essential_family(p) for p in enumerate_permutations(n)
+        }
+        assert len(genuine) == 65
+        proper = proper_intervals(n)
+        accepted, certified, checked = set(), set(), 0
+        for k in range(n + 1):
+            choices = [[None, *e1_labels(n, k, iv)] for iv in proper]
+            for labels in product(*choices):
+                F = RankedEssentialFamily.build(n, k, [
+                    *[(r, iv) for r, iv in zip(labels, proper) if r is not None],
+                    (k, CyclicInterval.full(n)),
+                ])
+                checked += 1
+                if not validate_chess(F):
+                    accepted.add(F)
+                if certificate_violations(F) is None:
+                    certified.add(F)
+        assert checked == 28930
+        assert accepted == genuine == certified
+
     def test_valid_candidates_are_genuine(self):
         # every random candidate that passes validation round-trips
         rng = random.Random(2026)
@@ -269,9 +319,7 @@ class TestValidateChess:
 def candidate_families(n):
     """Every candidate family on [n]: each proper interval absent or
     labelled 0..|I|, with k from 0 to n + 1."""
-    proper = [
-        CyclicInterval(n, s, l) for s in range(1, n + 1) for l in range(1, n)
-    ]
+    proper = proper_intervals(n)
     choices = [[None, *range(iv.length + 1)] for iv in proper]
     for k in range(n + 2):
         for labels in product(*choices):
@@ -279,6 +327,16 @@ def candidate_families(n):
             yield RankedEssentialFamily.build(
                 n, k, entries + [(k, CyclicInterval.full(n))]
             )
+
+
+def proper_intervals(n):
+    return [CyclicInterval(n, s, l) for s in range(1, n + 1) for l in range(1, n)]
+
+
+def e1_labels(n, k, iv):
+    """The labels r that E1 allows on the proper interval iv at rank k:
+    0 <= r < |I| and 0 < k - r <= n - |I|."""
+    return range(max(0, k - (n - iv.length)), min(iv.length, k))
 
 
 def certificate_violations(F):
@@ -407,10 +465,11 @@ class TestRankFunctionFromAxioms:
     def test_requires_validation(self):
         bad = family(6, 2, [(3, 2, 3)])
         with pytest.raises(NotValidated):
-            validated(bad)
+            permutation_from_family(bad)
 
     def test_entries_and_bounds(self, family_a):
-        F = validated(family_a)
+        F = family_a
+        permutation_from_family(F)
         for rank, iv in F.entries:
             assert rank_from_family(F, iv) == rank
         for start in range(1, 9):
@@ -421,7 +480,8 @@ class TestRankFunctionFromAxioms:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_unit_monotonicity_exhaustive(self, n):
         for p in enumerate_permutations(n):
-            F = validated(diagram.ranked_essential_family(p))
+            F = diagram.ranked_essential_family(p)
+            permutation_from_family(F)
             for start in range(1, n + 1):
                 for length in range(1, n):
                     v = rank_from_family(F, CyclicInterval(n, start, length))

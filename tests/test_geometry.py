@@ -20,7 +20,7 @@ from positroids.geometry import (
 )
 
 import diagram_reference as reference
-from bases_reference import bases_by_scan
+from bases_reference import bases_by_scan, binary_lattice_points
 from boundary_reference import boundary_count_by_enumeration
 from connected_reference import rank_from_connected
 
@@ -104,7 +104,7 @@ class TestFacetSystem:
         F = diagram.ranked_essential_family(BoundedAffinePermutation.uniform(2, 5))
         system = facet_system(F)
         assert system.inequalities == ()
-        assert len(system.binary_lattice_points()) == 10
+        assert len(binary_lattice_points(system)) == 10
 
     def test_example_has_three_inequalities(self, family_a):
         system = facet_system(family_a)
@@ -112,7 +112,7 @@ class TestFacetSystem:
         assert all(r < iv.length for iv, r in system.inequalities)
 
     def test_lattice_points_are_basis_indicators(self, perm_a, family_a):
-        pts = facet_system(family_a).binary_lattice_points()
+        pts = binary_lattice_points(facet_system(family_a))
         indicators = {
             tuple(1 if e in b else 0 for e in range(1, 9))
             for b in bases(perm_a)
@@ -129,7 +129,7 @@ class TestFacetSystem:
                 tuple(1 if e in b else 0 for e in range(1, n + 1))
                 for b in bases(p)
             }
-            assert facet_system(F).binary_lattice_points() == indicators
+            assert binary_lattice_points(facet_system(F)) == indicators
 
     def test_h_rep_shape(self, family_a):
         rows = facet_system(family_a).h_rep_text().splitlines()
@@ -159,26 +159,11 @@ class TestBases:
     def test_too_large(self, perm_a):
         with pytest.raises(TooLarge):
             bases(perm_a, bound=4)
-        with pytest.raises(TooLarge):
-            bases(perm_a, bound=4, first=1)
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_shards_partition_the_bases(self, n):
-        for p in enumerate_permutations(n):
-            k = p.rank()
-            if k == 0:
-                continue
-            shards = [bases(p, first=f) for f in range(1, n - k + 2)]
-            assert [b for shard in shards for b in shard] == bases(p)
-            assert all(b[0] == f for f, s in enumerate(shards, 1) for b in s)
 
 
 def _assert_matches_scan(p):
-    """bases equals the k-subset scan, in full and shard by shard."""
-    F = diagram.ranked_essential_family(p)
-    assert bases(p) == bases_by_scan(F), p
-    for f in range(1, p.n - F.k + 2) if F.k else ():
-        assert bases(p, first=f) == bases_by_scan(F, first=f), (p, f)
+    """bases equals the k-subset scan."""
+    assert bases(p) == bases_by_scan(diagram.ranked_essential_family(p)), p
 
 
 class TestBasesAgainstScan:

@@ -10,9 +10,10 @@ from positroids.realize import (
     NotNonNegative,
     RationalMatrix,
     is_positively_realizing,
-    matroid_bases,
     permutation_from_matrix,
 )
+
+from bases_reference import matroid_bases
 
 # rational coordinates for the running example's point-line configuration:
 # points 1-4 on one line, 4-7 on another, 5 and 6 coincident, 8 generic

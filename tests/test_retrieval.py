@@ -269,6 +269,13 @@ class TestVerifyConditions:
                 continue
             assert verify_conditions(out, C)
 
+    @pytest.mark.parametrize("m", [3, 7])
+    def test_ground_set_must_match(self, m):
+        # a condition set on a smaller or a larger ground set is refused
+        p = BoundedAffinePermutation.uniform(2, 5)
+        with pytest.raises(ValueError, match="^interval ground set does not match"):
+            verify_conditions(p, RankConditionSet(m, ((2, (1, 3)),)))
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_output_is_rank_maximal(self, n):
         perms = list(enumerate_permutations(n))

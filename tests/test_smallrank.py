@@ -12,6 +12,8 @@ from positroids.smallrank import (
     is_positroid_rank2,
 )
 
+from chess_reference import mask_arcs
+
 
 def family(n, k, sets):
     return RankedEssentialFamily.from_json(
@@ -86,6 +88,16 @@ class TestRank2Criterion:
     def test_bad_partition(self):
         with pytest.raises(ValueError):
             is_positroid_rank2(4, [[1, 2], [2, 3, 4]])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_one_run_test_matches_mask_arcs(self, n):
+        # each mask short of the ground set as a class, the rest singletons:
+        # positroid exactly when the mask is one maximal run
+        for mask in range((1 << n) - 1):
+            cls = [e for e in range(1, n + 1) if mask >> (e - 1) & 1]
+            rest = [[e] for e in range(1, n + 1) if not mask >> (e - 1) & 1]
+            one_run = len(mask_arcs(n, mask)) == 1
+            assert is_positroid_rank2(n, [cls, *rest]) == one_run, (n, mask)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_agrees_with_realizable_partitions(self, n):
