@@ -19,6 +19,8 @@ T(i, m) count its dependencies.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .core import BoundedAffinePermutation, CyclicInterval
 from .essential import RankedEssentialFamily
 
@@ -66,16 +68,19 @@ def corners(p: BoundedAffinePermutation) -> list[Square]:
 
 
 def ranked_essential_family(p: BoundedAffinePermutation) -> RankedEssentialFamily:
-    """Corners converted to ranked cyclic intervals, plus the full-set pair."""
+    """Corners converted to ranked cyclic intervals, plus the full-set pair.
+
+    ``corners`` yields (start, length) in the family's canonical order, and
+    no corner has length n: that would need pi^{-1}(i + n) < i, against
+    pi(l) <= l + n.  So the full pair goes in after the corners at start
+    1, and the family is built as it stands, without ``build``'s checks.
+    """
     n = p.n
-    entries = []
-    for i, m in corners(p):
-        entries.append((p.ranks_from(i)[m], CyclicInterval(n, i, m)))
+    found = corners(p)
+    entries = [(p.ranks_from(i)[m], CyclicInterval(n, i, m)) for i, m in found]
     k = p.rank()
-    full = CyclicInterval.full(n)
-    if not any(interval == full for _, interval in entries):
-        entries.append((k, full))
-    return RankedEssentialFamily.build(n, k, entries)
+    entries.insert(bisect_left(found, (2, 0)), (k, CyclicInterval.full(n)))
+    return RankedEssentialFamily(n, k, tuple(entries))
 
 
 def render(p: BoundedAffinePermutation) -> str:

@@ -31,13 +31,19 @@ BASES_BOUND = 16
 
 
 def length(p: BoundedAffinePermutation) -> int:
-    """Inversion count: pairs i in [n], i < j <= i + n with pi(i) > pi(j)."""
-    return sum(
-        1
-        for i in range(1, p.n + 1)
-        for j in range(i + 1, i + p.n + 1)
-        if p.eval(i) > p.eval(j)
-    )
+    """Inversion count: pairs i in [n], i < j <= i + n with pi(i) > pi(j).
+
+    pi(j) for j in (i, i + n] is read off the window and its copy lifted
+    by n, so the count makes no ``eval`` call.
+    """
+    n, window = p.n, p.window
+    lifted = window + tuple([v + n for v in window])
+    count = 0
+    for a, v in enumerate(window):
+        for u in lifted[a + 1 : a + n + 1]:
+            if v > u:
+                count += 1
+    return count
 
 
 def codim_from_family(family: RankedEssentialFamily) -> int:

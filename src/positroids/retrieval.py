@@ -189,13 +189,15 @@ def retrieve(
 
     With trace=True, returns (permutation, trace); InvalidInput raised
     from a traced run carries the partial trace on its ``trace`` field.
+    Without it no event is built at all.
     """
     n = conditions.n
-    log = RetrievalTrace()
+    log = RetrievalTrace() if trace else None
 
     def fail(kind: str, **context):
-        log.emit("error", kind=kind, **context)
-        raise InvalidInput(kind, context, trace=log if trace else None)
+        if log is not None:
+            log.emit("error", kind=kind, **context)
+        raise InvalidInput(kind, context, trace=log)
 
     k = conditions.full_label()
     if k is None:
@@ -205,22 +207,26 @@ def retrieve(
         fail(NON_MAXIMAL_LABEL, full_label=k, max_label=top)
 
     dotting = ProperDotting(n)
-    ordered = sorted(conditions.conditions, key=lambda c: (c[0], c[1][0], c[1][1]))
+    cols = dotting.cols
+    ordered = sorted(conditions.conditions)  # by label, then row, then column
 
     for r, (i, j) in ordered:
         # the deficit is counted once; dots are never removed, so each
         # new dot lowers it by its own membership in T(i, j) alone
         a = j - r - dotting.d((i, j))
-        log.emit("condition_start", rank=r, row=i, col=j)
-        log.emit("excess_computed", value=a)
+        if log is not None:
+            log.emit("condition_start", rank=r, row=i, col=j)
+            log.emit("excess_computed", value=a)
         while a > 0:
-            free = dotting.undotted_rows()
-            if free:
-                h = min(free, key=lambda row: (row - i) % n)  # first from row i on
+            if len(cols) < n:
+                h = i
+                while h in cols:  # the first undotted row from row i on
+                    h = h % n + 1
                 col = _min_col_with_dependency(dotting, h, r)
                 if col is not None:
                     dotting.place(h, col)
-                    log.emit("dot_placed", row=h, col=col)
+                    if log is not None:
+                        log.emit("dot_placed", row=h, col=col)
                     if col + (h - i) % n <= j:  # d's predicate
                         a -= 1
                         continue
@@ -231,11 +237,14 @@ def retrieve(
         if col is None:
             fail(ROW_OVERFLOW, row=h)
         dotting.place(h, col)
-        log.emit("row_filled", row=h, col=col)
+        if log is not None:
+            log.emit("row_filled", row=h, col=col)
 
     if not dotting.is_proper():  # the fill dotted every row
         fail(NOT_PROPER)
-    perm = BoundedAffinePermutation.from_window(dotting.window())
+    # every column is in [1, n+1], so the window keeps the band, and
+    # is_proper is its bijectivity test: no from_window checks are due
+    perm = BoundedAffinePermutation(n, tuple(dotting.window()))
     for r, (i, j) in ordered:
         got = perm.ranks_from(i)[j]
         if got != r:

@@ -16,6 +16,21 @@ from positroids.core import BoundedAffinePermutation, residue
 from positroids.diagram import Square, dots
 
 
+def random_permutation(rng, n: int) -> BoundedAffinePermutation:
+    """A random bounded affine permutation, as acceptance criterion 08 draws
+    them: a shuffled permutation lifted into [i, i+n], with each fixed
+    point made a loop or a coloop by a coin flip."""
+    sigma = list(range(1, n + 1))
+    rng.shuffle(sigma)
+    window = []
+    for i in range(1, n + 1):
+        v = i + (sigma[i - 1] - i) % n
+        if v == i and rng.random() < 0.5:
+            v = i + n
+        window.append(v)
+    return BoundedAffinePermutation.from_window(window)
+
+
 def _band_offsets(n: int, row: int, anchor_row: int, height: int):
     """Offsets t with anchor_row + t = row mod n and 0 <= t <= height - 1."""
     t = (row - anchor_row) % n

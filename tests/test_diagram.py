@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from positroids.core import (
@@ -6,6 +8,7 @@ from positroids.core import (
     enumerate_permutations,
 )
 from positroids import diagram
+from positroids.essential import RankedEssentialFamily
 
 import diagram_reference as reference
 
@@ -156,6 +159,24 @@ class TestFamilyExtraction:
             (2, (1, 3)), (2, (4, 3)), (2, (7, 3)),
             (4, (3, 7)), (4, (6, 7)), (4, (9, 7)), (5, (1, 9)),
         }
+
+    @staticmethod
+    def assert_canonical(p):
+        F = diagram.ranked_essential_family(p)
+        assert F.entries == RankedEssentialFamily.build(F.n, F.k, F.entries).entries
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_built_as_build_would(self, n):
+        # the extraction skips build's checks; its entries must still be
+        # exactly what build returns for them
+        for p in enumerate_permutations(n):
+            self.assert_canonical(p)
+
+    @pytest.mark.parametrize("n", [16, 24, 40, 64])
+    def test_built_as_build_would_randomized(self, n):
+        rng = random.Random(700 + n)
+        for _ in range(200):
+            self.assert_canonical(reference.random_permutation(rng, n))
 
 
 class TestEssentialRankCharacterization:

@@ -28,16 +28,14 @@ from connected_reference import rank_from_connected
 BOUNDARY_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "boundary_table.json"
 
 
-def random_permutation(rng, n):
-    sigma = list(range(1, n + 1))
-    rng.shuffle(sigma)
-    window = []
-    for i in range(1, n + 1):
-        v = i + (sigma[i - 1] - i) % n
-        if v == i and rng.random() < 0.5:
-            v = i + n
-        window.append(v)
-    return BoundedAffinePermutation.from_window(window)
+def length_by_eval(p):
+    """The inversion count by its definition, two ``eval`` calls per pair."""
+    return sum(
+        1
+        for i in range(1, p.n + 1)
+        for j in range(i + 1, i + p.n + 1)
+        if p.eval(i) > p.eval(j)
+    )
 
 
 class TestLength:
@@ -67,6 +65,18 @@ class TestLength:
                 total += sum(1 for d in dots if d != (i, c) and member(d))
             assert total == length(p)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_window_count_matches_eval_count(self, n):
+        for p in enumerate_permutations(n):
+            assert length(p) == length_by_eval(p)
+
+    @pytest.mark.parametrize("n", [16, 24, 40, 64])
+    def test_window_count_matches_eval_count_randomized(self, n):
+        rng = random.Random(500 + n)
+        for _ in range(50):
+            p = reference.random_permutation(rng, n)
+            assert length(p) == length_by_eval(p)
+
 
 class TestCodimFromFamily:
     def test_example_decomposition(self, family_a):
@@ -86,7 +96,7 @@ class TestCodimFromFamily:
     def test_equals_length_randomized(self, n):
         rng = random.Random(1000 + n)
         for _ in range(10_000):
-            p = random_permutation(rng, n)
+            p = reference.random_permutation(rng, n)
             assert codim_from_family(diagram.ranked_essential_family(p)) == length(p)
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -123,7 +133,7 @@ class TestFacetSystem:
     def test_double_enumeration_at_larger_sizes(self, n):
         rng = random.Random(n)
         for _ in range(200):
-            p = random_permutation(rng, n)
+            p = reference.random_permutation(rng, n)
             F = diagram.ranked_essential_family(p)
             indicators = {
                 tuple(1 if e in b else 0 for e in range(1, n + 1))
@@ -176,7 +186,7 @@ class TestBasesAgainstScan:
     def test_seeded_permutations(self, n):
         rng = random.Random(f"bases:{n}")
         for _ in range(3):
-            _assert_matches_scan(random_permutation(rng, n))
+            _assert_matches_scan(reference.random_permutation(rng, n))
 
     @pytest.mark.parametrize("k", range(17))
     def test_uniform(self, k):

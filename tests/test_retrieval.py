@@ -145,6 +145,41 @@ class TestRetrieve:
         assert len(placed) <= 5
 
 
+class TestUntraced:
+    """Without trace=True, retrieval builds no event yet decides alike."""
+
+    @staticmethod
+    def outcome(C, trace):
+        try:
+            out = retrieve(C, trace=trace)
+        except InvalidInput as e:
+            return None, e.kind, e.context
+        perm = out[0] if trace else out
+        return perm.window, None, None
+
+    def test_agrees_with_traced(self):
+        sets = [C for n in (1, 2) for C in all_labelings(n)]
+        for C in [*sets, *random_condition_sets()]:
+            assert self.outcome(C, False) == self.outcome(C, True)
+
+    def test_builds_no_trace_event(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trace event was built")
+
+        monkeypatch.setattr(retrieval, "TraceEvent", refuse)
+        kinds = set()
+        for C in random_condition_sets(count=500):
+            try:
+                retrieve(C)
+                kinds.add("ok")
+            except InvalidInput as e:
+                assert e.trace is None
+                kinds.add(e.kind)
+        assert "ok" in kinds and len(kinds) > 2
+        with pytest.raises(AssertionError, match="trace event"):
+            retrieve(PAPER_INPUT, trace=True)
+
+
 class TestErrors:
     def test_missing_full_label(self):
         with pytest.raises(InvalidInput) as exc:
