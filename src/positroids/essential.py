@@ -71,25 +71,28 @@ class RankedEssentialFamily:
     >>> len(F.entries)  # the (3, [1,8]) pair is synthesized
     4
 
-    Beside the entries it keeps their element masks, and builds on first
-    use the containment index (``inside``): for each entry, the indices
-    of the other entries inside it.  Connectedness and excess read it;
-    the certificate, which builds a family on every validation, never
-    pays for it.
+    Beside the entries it builds on first use their element masks
+    (``masks``), which ``rank_from_family`` reads, and the containment
+    index (``inside``): for each entry, the indices of the other entries
+    inside it.  Connectedness and excess read the index; the certificate,
+    which builds a family on every validation, pays for neither.
     """
 
     n: int
     k: int
     entries: tuple[Entry, ...]
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    _masks: tuple[int, ...] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
     _inside: tuple[tuple[int, ...], ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_masks", tuple([iv.mask() for _, iv in self.entries])
-        )
+    def masks(self) -> tuple[int, ...]:
+        """The entries' element masks (``CyclicInterval.mask``)."""
+        if self._masks is None:
+            object.__setattr__(self, "_masks", tuple([iv.mask() for _, iv in self.entries]))
+        return self._masks
 
     def inside(self) -> tuple[tuple[int, ...], ...]:
         """For each entry a, the indices b != a with masks[b] inside masks[a].
@@ -181,7 +184,7 @@ def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) ->
         raise ValueError("interval ground set does not match family")
     imask = interval.mask()
     best = interval.length
-    for (r, _), emask in zip(family.entries, family._masks):
+    for (r, _), emask in zip(family.entries, family.masks()):
         best = min(best, r + (imask & ~emask).bit_count())
     return best
 
@@ -234,7 +237,6 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     """
     n = family.n
     entries = family.entries
-    masks = family._masks
     inside = family.inside()
     starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
     lengths = [iv.length for _, iv in entries]
@@ -270,7 +272,7 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
         for b in inside[full]:
             if not 0 <= nullities[b] <= target:
                 continue
-            if masks[b] & 1:
+            if -starts[b] % n < lengths[b]:
                 holders.setdefault((starts[b] + lengths[b]) % n, []).append(b)
             else:
                 line.setdefault(starts[b], []).append((starts[b] + lengths[b], nullities[b]))
@@ -316,12 +318,6 @@ def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     return _canonical([e for e in family.entries if table[e[1]] > 0])
 
 
-def _minimal(inside: tuple[tuple[int, ...], ...], group: list[int]) -> list[int]:
-    """The members of group holding no other member, in group's order."""
-    members = set(group)
-    return [a for a in group if members.isdisjoint(inside[a])]
-
-
 def _maximal(inside: tuple[tuple[int, ...], ...], group: list[int]) -> list[int]:
     """The members of group inside no other member, in group's order."""
     held: set[int] = set()
@@ -349,37 +345,61 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     classified by the offsets of its starts, and reads its union, gap and
     overlap from a per-arc index built within the call: for each arc
     asked about, the minimal entries covering it and the sorted bounds
-    its maximal contents put on its rank.  An arc costs an O(E) scan plus
-    the containment lists of the entries it finds, so the checker is
-    O(E^2) for the pairs plus that for each of the A <= min(E^2, n^2)
-    distinct arcs, plus the size of its output.  All violations are
-    reported, not just the first.
+    its maximal contents put on its rank, each found by a walk over the
+    positions before or along the arc.  So the checker is O(E^2) for the
+    pairs plus O(n) bisections for each of the A <= min(E^2, n^2) distinct
+    arcs, plus the size of its output.  A pair whose bounds cannot fail
+    skips its covering entries, and an arc's rank (an O(E) scan) is taken
+    only when its contents' bounds leave room for a failure.  All
+    violations are reported, not just the first.
     """
     n, k = family.n, family.k
     violations: list[Violation] = []
     entries = family.entries
     inside = family.inside()
-    everyone = range(len(entries))
     ranks = [r for r, _ in entries]
     starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
     lengths = [iv.length for _, iv in entries]
+    full, proper = lengths.index(n), [a for a, length in enumerate(lengths) if length < n]
+    # the proper entries from each position, in length order as canonical order has them
+    starting: list[list[int]] = [[] for _ in range(n)]
+    for a in proper:
+        starting[starts[a]].append(a)
+    sizes = [[lengths[a] for a in group] for group in starting]
 
     @functools.cache
-    def covers(start: int, length: int) -> list[int]:
-        """Minimal entries holding the arc, in index order."""
-        return _minimal(inside, [
-            c for c in everyone
-            if lengths[c] == n or (start - starts[c]) % n + length <= lengths[c]
-        ])
+    def covers(start: int, length: int) -> tuple[list[int], int]:
+        """Minimal entries holding the arc, in index order, and their top
+        rank.  From each position before the arc, the shortest entry
+        reaching its end is minimal if it ends before those from nearer."""
+        found, end = [], n  # end: where the last one found ends, from start
+        for d in range(n - length):
+            if end == length:
+                break  # nothing from further back ends earlier
+            at = (start - d) % n
+            i = bisect_left(sizes[at], d + length)
+            if i < len(sizes[at]) and sizes[at][i] - d < end:
+                end = sizes[at][i] - d
+                found.append(starting[at][i])
+        found = sorted(found) or [full]
+        return found, max([ranks[c] for c in found])
 
     @functools.cache
     def contents(start: int, length: int) -> list[int]:
         """Sorted bounds on the arc's rank, one per maximal entry inside
         it: its rank plus the arc's elements outside it.  With no entry
-        inside, the arc's size."""
-        group = [b for b in everyone if (starts[b] - start) % n + lengths[b] <= length]
-        maximal = _maximal(inside, group)
-        return sorted([ranks[b] + length - lengths[b] for b in maximal]) or [length]
+        inside, the arc's size.  From each offset, the longest entry that
+        fits is maximal if it ends past those found before it."""
+        bounds, end = [], 0
+        for t in range(length):
+            if end == length:
+                break  # nothing from further on ends later
+            at = (start + t) % n
+            i = bisect_right(sizes[at], length - t) - 1
+            if i >= 0 and t + sizes[at][i] > end:
+                end = t + sizes[at][i]
+                bounds.append(ranks[starting[at][i]] + length - sizes[at][i])
+        return sorted(bounds) or [length]
 
     @functools.cache
     def arc_rank(start: int, length: int) -> int:
@@ -423,7 +443,6 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
 
     # E3 over ordered pairs of proper entries that are not nested (E2's)
     held = [set(group) for group in inside]
-    proper = [a for a in everyone if lengths[a] < n]
     for x in proper:
         sx, lx = starts[x], lengths[x]
         for y in proper:
@@ -436,7 +455,10 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                     continue  # each unordered disjoint pair once, both ways
                 for p, q, offset in ((x, y, ox), (y, x, oy)):  # p, the gap, then q
                     gap = contents((starts[p] + lengths[p]) % n, offset - lengths[p])
-                    for c in covers(starts[p], offset + lengths[q]):
+                    cover, top = covers(starts[p], offset + lengths[q])
+                    if top - ranks[p] - ranks[q] <= gap[0]:
+                        continue  # no bound fails
+                    for c in cover:
                         # the bounds below rank c - rank p - rank q fail
                         failing = bisect_left(gap, ranks[c] - ranks[p] - ranks[q])
                         if failing:
@@ -449,11 +471,11 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                 # implied by submodularity must not undercut either arc's
                 if x < y:
                     arcs = ((sx, ly - oy), (sy, lx - ox))
-                    estimate = sum([contents(*arc)[0] for arc in arcs])
-                    implied = min(ranks[x] + ranks[y] - k, estimate)
-                    if any(  # a rank never exceeds its arc's size
-                        implied < length and implied < arc_rank(start, length)
-                        for start, length in arcs
+                    bounds = [contents(*arc)[0] for arc in arcs]
+                    implied = min(ranks[x] + ranks[y] - k, sum(bounds))
+                    if any(  # an arc's rank never exceeds its lowest bound
+                        implied < bound and implied < arc_rank(*arc)
+                        for arc, bound in zip(arcs, bounds)
                     ):
                         violations.append(Violation(
                             "E3", (entries[x], entries[y]),
@@ -461,7 +483,10 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                         ))
             elif ox < lx:  # y starts inside x and ends past it; else (y, x) does
                 overlap, room = contents(sy, lx - ox), ranks[x] + ranks[y]
-                for c in covers(sx, ox + ly):
+                cover, top = covers(sx, ox + ly)
+                if top <= room - overlap[-1]:
+                    continue  # no bound fails
+                for c in cover:
                     # the bounds above rank x + rank y - rank c fail
                     failing = len(overlap) - bisect_right(overlap, room - ranks[c])
                     if failing:

@@ -70,7 +70,7 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     n, k = family.n, family.k
     violations: list[Violation] = []
     entries = family.entries
-    masks = family._masks
+    masks = family.masks()
 
     # E1
     for r, iv in entries:
@@ -149,7 +149,7 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
 def _covering_minimal(family: RankedEssentialFamily, arc: CyclicInterval) -> list[Entry]:
     amask = arc.mask()
     covering = [
-        (e, m) for e, m in zip(family.entries, family._masks) if amask & ~m == 0
+        (e, m) for e, m in zip(family.entries, family.masks()) if amask & ~m == 0
     ]
     return [
         e
@@ -165,7 +165,7 @@ def _contained_maximal(
         return [(0, None)]
     rmask = region.mask()
     inside = [
-        (e, m) for e, m in zip(family.entries, family._masks) if m & ~rmask == 0
+        (e, m) for e, m in zip(family.entries, family.masks()) if m & ~rmask == 0
     ]
     maximal = [
         e for e, m in inside if not any(m2 != m and m & ~m2 == 0 for _, m2 in inside)
