@@ -19,6 +19,7 @@ from .core import (
     CyclicInterval,
     NotBijective,
     enumerate_permutations,
+    enumerate_windows,
 )
 from .essential import RankedEssentialFamily, NotValidated
 
@@ -30,4 +31,5 @@ __all__ = [
     "NotValidated",
     "RankedEssentialFamily",
     "enumerate_permutations",
+    "enumerate_windows",
 ]

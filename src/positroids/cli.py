@@ -25,12 +25,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import diagram, essential, geometry, realize, retrieval, smallrank
 from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
-    enumerate_permutations,
+    enumerate_windows,
     json_int,
 )
 
@@ -176,7 +177,7 @@ def _cmd_retrieve(args) -> int:
                 print(_dump(event.to_json()))
         print(f"error: {e.kind}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    _print_window(args.format, perm.n, list(perm.window))
+    _print_window(args.format, perm.n, perm.window)
     return EXIT_OK
 
 
@@ -252,23 +253,20 @@ def _cmd_from_matrix(args) -> int:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise _Malformed(f"bad matrix: {e}")
     perm = realize.permutation_from_matrix(matrix)
-    _print_window(args.format, perm.n, list(perm.window))
+    _print_window(args.format, perm.n, perm.window)
     return EXIT_OK
 
 
-def _enumerate_shard(n: int, k: int | None, first: int) -> list[list[int]]:
-    return [list(p.window) for p in enumerate_permutations(n, k=k, first=first)]
+def _enumerate_shard(n: int, k: int | None, first: int) -> list[tuple[int, ...]]:
+    return list(enumerate_windows(n, k, first))
 
 
 def _cmd_enumerate(args) -> int:
     n, k = args.n, args.k
-    perms = enumerate_permutations(n, k=k)  # refuses n < 1 before any worker starts
+    windows = enumerate_windows(n, k)  # refuses n < 1 before any worker starts
     if args.jobs > 1:
         windows = _sharded(args.jobs, _enumerate_shard, range(1, n + 2), n, k)
-    else:
-        windows = (list(p.window) for p in perms)
-    for window in windows:
-        _print_window(args.format, n, window)
+    sys.stdout.writelines(_window_lines(args.format, n, windows))
     return EXIT_OK
 
 
@@ -291,11 +289,20 @@ def _cmd_rank2(args) -> int:
     return EXIT_OK
 
 
-def _print_window(fmt: str, n: int, window: list[int]) -> None:
+def _window_lines(
+    fmt: str, n: int, windows: Iterable[tuple[int, ...]]
+) -> Iterator[str]:
+    """One line per window: byte for byte the ``json.dumps`` of
+    ``{"n": n, "window": [...]}``, which prints an int as ``str`` does,
+    or the values joined by spaces."""
     if fmt == "json":
-        print(_dump({"n": n, "window": window}))
-    else:
-        print(" ".join(str(v) for v in window))
+        head = '{"n": %d, "window": [' % n
+        return (head + ", ".join(map(str, w)) + "]}\n" for w in windows)
+    return (" ".join(map(str, w)) + "\n" for w in windows)
+
+
+def _print_window(fmt: str, n: int, window: tuple[int, ...]) -> None:
+    sys.stdout.writelines(_window_lines(fmt, n, [window]))
 
 
 @functools.cache

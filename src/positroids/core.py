@@ -245,6 +245,71 @@ class BoundedAffinePermutation:
         return cls.from_window(window)
 
 
+def enumerate_windows(
+    n: int, k: int | None = None, first: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield the window of every bounded affine permutation of size n, as a
+    tuple, in window-lex order.
+
+    With k given, only windows of rank k are yielded; with first given,
+    only windows starting with that value (the lex shards used for
+    parallel enumeration).  No permutation object is built.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _walk(n, k, first)
+
+
+def _walk(n: int, k: int | None, first: int | None) -> Iterator[tuple[int, ...]]:
+    """The window walk of ``enumerate_windows``: one explicit stack of
+    candidate iterators, one per decided position, and no nested
+    generator.
+
+    A window's residues are a permutation of [n], so its sum is
+    n(n+1)/2 mod n.  The sum of the first n - 1 values therefore fixes
+    the residue of the last, whose candidates in [n, 2n] are n + that
+    residue, or n and 2n for residue 0: the last position is read off,
+    not searched.  The rank is exactly (sum - n(n+1)/2) / n, so the rank
+    filter compares the sum with a target at the leaf.
+    """
+    half = n * (n + 1) // 2
+    target = None if k is None else k * n + half
+    stack = [iter(range(1, n + 2) if first is None else (first,))]
+    if n == 1:  # the walk below decides positions 1 to n - 1
+        yield from [(v,) for v in stack[0] if target is None or v == target]
+        return
+    window = [0] * n
+    used = [False] * n
+    last = n - 1
+    i = total = 0  # the position being decided and the sum before it
+    while True:
+        for v in stack[i]:
+            if not used[v % n]:
+                break
+        else:  # position i is exhausted: take back the value before it
+            stack.pop()
+            if i == 0:
+                return
+            i -= 1
+            v = window[i]
+            used[v % n] = False
+            total -= v
+            continue
+        window[i] = v
+        if i == last - 1:
+            t = total + v
+            top = n + (half - t) % n  # n + the last value's residue
+            for w in (n, 2 * n) if top == n else (top,):
+                if target is None or t + w == target:
+                    window[last] = w
+                    yield tuple(window)
+            continue
+        used[v % n] = True
+        total += v
+        i += 1
+        stack.append(iter(range(i + 1, i + n + 2)))
+
+
 def enumerate_permutations(
     n: int, k: int | None = None, first: int | None = None
 ) -> Iterator[BoundedAffinePermutation]:
@@ -254,30 +319,4 @@ def enumerate_permutations(
     given, only windows starting with that value (the lex shards used for
     parallel enumeration).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _extend(n, k, first, [], [False] * n, 1)
-
-
-def _extend(
-    n: int, k: int | None, first: int | None, window: list[int], used: list[bool], i: int
-) -> Iterator[BoundedAffinePermutation]:
-    """The completions of the window prefix at position i.  It recurses on
-    itself, not through a nested closure: a generator closure that calls
-    itself is a reference cycle, left on every call for the cyclic
-    garbage collector to find."""
-    if i > n:
-        p = BoundedAffinePermutation(n, tuple(window))
-        if k is None or p.rank() == k:
-            yield p
-        return
-    values = range(i, i + n + 1) if i > 1 or first is None else (first,)
-    for v in values:
-        r = v % n
-        if used[r]:
-            continue
-        used[r] = True
-        window.append(v)
-        yield from _extend(n, k, first, window, used, i + 1)
-        window.pop()
-        used[r] = False
+    return (BoundedAffinePermutation(n, w) for w in enumerate_windows(n, k, first))

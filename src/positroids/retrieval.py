@@ -262,8 +262,11 @@ def verify_conditions(
 
 
 def conditions_from_family(family) -> RankConditionSet:
-    """Encode a ranked essential family as retrieval input."""
-    return RankConditionSet.from_intervals(family.n, family.entries)
+    """Encode a ranked essential family as retrieval input, in the family's
+    canonical order: ``retrieve`` sorts the conditions it processes."""
+    return RankConditionSet(
+        family.n, tuple([(r, (iv.start, iv.length)) for r, iv in family.entries])
+    )
 
 
 def core_conditions(family) -> RankConditionSet:

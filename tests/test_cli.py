@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ from positroids import cli, diagram, essential, geometry, realize
 from positroids.cli import main
 from positroids.core import BoundedAffinePermutation
 
-from enumeration_reference import count_permutations
+from enumeration_reference import count_permutations, windows_by_recursion
 from test_core import windows
 
 PERM_A = {"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13]}
@@ -488,6 +489,24 @@ class TestEnumerate:
         _, parallel, _ = run(["enumerate", "--n", "4", "--jobs", "2"], capsys)
         assert serial == parallel
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lines_are_json_dumps_and_text_joins(self, n, capsys):
+        # each line is byte for byte what json.dumps (or the text join) of
+        # the reference walk's window gives
+        for k in [None, *range(-1, n + 2)]:
+            flags = [] if k is None else ["--k", str(k)]
+            windows = list(windows_by_recursion(n, k))
+            code, out, err = run(["enumerate", "--n", str(n), *flags], capsys)
+            assert (code, err) == (0, "")
+            assert out == "".join(
+                json.dumps({"n": n, "window": list(w)}) + "\n" for w in windows
+            )
+            code, out, err = run(
+                ["enumerate", "--n", str(n), "--format", "text", *flags], capsys
+            )
+            assert (code, err) == (0, "")
+            assert out == "".join(" ".join(str(v) for v in w) + "\n" for w in windows)
+
 
 class TestRank2:
     def test_verdicts(self, write_json, capsys):
@@ -572,6 +591,42 @@ def test_readme_usage_matches_the_parser():
     }
     assert len(documented) == len(lines)
     assert documented == defined
+
+
+def _readme_examples():
+    """(command, shown output) for each ``$ ...`` example in the README's
+    Examples block; a command runs on until its quotes are closed."""
+    block = README.read_text().split("\nExamples:\n", 1)[1].split("```")[1]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        lines = chunk.splitlines()
+        assert lines[0].startswith("$ ")
+        command = lines.pop(0)[2:]
+        while command.count("'") % 2:
+            command += "\n" + lines.pop(0)
+        examples.append((command, "".join(line + "\n" for line in lines)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "command, shown", README_EXAMPLES,
+    ids=[command.split("positroids ")[1].split()[0] for command, _ in README_EXAMPLES],
+)
+def test_readme_examples(command, shown, capsys, monkeypatch):
+    stages = [shlex.split(stage) for stage in command.split(" | ")]
+    if stages[0][0] == "echo":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stages.pop(0)[1] + "\n"))
+    argv = stages.pop(0)
+    assert argv[0] == "positroids"
+    code, out, err = run(argv[1:], capsys)
+    assert (code, err) == (0, "")
+    if stages:
+        assert stages == [["wc", "-l"]]
+        out = str(out.count("\n")) + "\n"
+    assert out == shown
 
 
 def test_subprocess_entry_point(tmp_path):

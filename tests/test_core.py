@@ -10,11 +10,12 @@ from positroids.core import (
     CyclicInterval,
     NotBijective,
     enumerate_permutations,
+    enumerate_windows,
     residue,
 )
 
 from chess_reference import mask_arcs
-from enumeration_reference import count_permutations
+from enumeration_reference import count_permutations, windows_by_recursion
 
 
 def windows(max_n=8):
@@ -245,10 +246,51 @@ def test_enumeration_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert len(list(enumerate_permutations(3))) == count_permutations(3)
-        assert gc.collect() == 0
+        for enumerator in (enumerate_permutations, enumerate_windows):
+            assert len(list(enumerator(3))) == count_permutations(3)
+            assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_windows_match_the_recursive_reference(n):
+    for k in [None, *range(-1, n + 2)]:
+        assert list(enumerate_windows(n, k)) == list(windows_by_recursion(n, k))
+        for first in range(1, n + 2):
+            assert list(enumerate_windows(n, k, first)) == list(
+                windows_by_recursion(n, k, first)
+            ), (k, first)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shards_concatenate_to_the_walk(n):
+    for k in [None, *range(-1, n + 2)]:
+        shards = [w for f in range(1, n + 2) for w in enumerate_windows(n, k, f)]
+        assert shards == list(enumerate_windows(n, k))
+
+
+def test_yielded_windows_are_kept_tuples():
+    walk = enumerate_windows(4)
+    kept = [next(walk) for _ in range(3)]
+    copies = [list(w) for w in kept]
+    rest = list(walk)
+    assert all(type(w) is tuple for w in kept + rest)
+    assert [list(w) for w in kept] == copies
+    assert len(kept) + len(rest) == count_permutations(4)
+
+
+def test_permutations_wrap_the_windows():
+    perms = list(enumerate_permutations(5, k=2))
+    assert [p.window for p in perms] == list(enumerate_windows(5, 2))
+    assert all(p.rank() == 2 and p.inverse_at(p.eval(3)) == 3 for p in perms)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_enumeration_refuses_nonpositive_n_on_call(n):
+    for enumerator in (enumerate_windows, enumerate_permutations):
+        with pytest.raises(ValueError, match="n must be positive"):
+            enumerator(n)
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -136,7 +136,11 @@ class TestRetrieve:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_exhaustive_roundtrip(self, n):
         for p in enumerate_permutations(n):
-            conditions = conditions_from_family(diagram.ranked_essential_family(p))
+            family = diagram.ranked_essential_family(p)
+            conditions = conditions_from_family(family)
+            assert sorted(conditions.conditions) == list(
+                RankConditionSet.from_intervals(n, family.entries).conditions
+            )
             assert retrieve(conditions).window == p.window
 
     def test_at_most_n_dots_placed(self):
