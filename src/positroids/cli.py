@@ -83,23 +83,23 @@ def _load_perm_or_family(obj: dict):
     raise _Malformed("expected a permutation ('window') or a family ('sets')")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj)
-
-
 def _annotated_family_json(family, with_excess, with_core, with_connected) -> dict:
+    """The family's JSON, annotated from excess values and connected
+    entries that come in entry order, so nothing is looked up."""
     out = family.to_json()
     if with_excess or with_core:
-        table = essential.excess(family)
+        for entry_json, value in zip(out["sets"], essential.excess(family).values()):
+            if with_excess:
+                entry_json["excess"] = value
+            if with_core:  # the core is the entries of positive excess
+                entry_json["core"] = value > 0
     if with_connected:
-        connected = set(essential.connected_entries(family))
-    for entry_json, entry in zip(out["sets"], family.entries):
-        if with_excess:
-            entry_json["excess"] = table[entry[1]]
-        if with_core:  # the core is the entries of positive excess
-            entry_json["core"] = table[entry[1]] > 0
-        if with_connected:
-            entry_json["connected"] = entry in connected
+        connected = iter(essential.connected_entries(family))
+        upcoming = next(connected, None)
+        for entry_json, entry in zip(out["sets"], family.entries):
+            entry_json["connected"] = marked = entry == upcoming
+            if marked:
+                upcoming = next(connected, None)
     return out
 
 
@@ -108,7 +108,7 @@ def _cmd_essentials(args) -> int:
     family = diagram.ranked_essential_family(p)
     out = _annotated_family_json(family, args.excess, args.core, args.connected)
     if args.format == "json":
-        print(_dump(out))
+        print(json.dumps(out))
     else:
         for entry in out["sets"]:
             print(" ".join(f"{key}={value}" for key, value in entry.items()))
@@ -168,13 +168,13 @@ def _cmd_retrieve(args) -> int:
         if args.trace:
             perm, trace = retrieval.retrieve(conditions, trace=True)
             for event in trace:
-                print(_dump(event.to_json()))
+                print(json.dumps(event.to_json()))
         else:
             perm = retrieval.retrieve(conditions)
     except retrieval.InvalidInput as e:
         if args.trace and e.trace is not None:
             for event in e.trace:
-                print(_dump(event.to_json()))
+                print(json.dumps(event.to_json()))
         print(f"error: {e.kind}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     _print_window(args.format, perm.n, perm.window)
@@ -223,7 +223,7 @@ def _cmd_polytope(args) -> int:
     if args.h_rep or args.format == "text":
         print(system.h_rep_text())
     else:
-        print(_dump(system.to_json()))
+        print(json.dumps(system.to_json()))
     return EXIT_OK
 
 
@@ -240,7 +240,7 @@ def _cmd_bases(args) -> int:
     family = _load_family(_read_json(args.input))
     found = geometry.bases(essential.permutation_from_family(family))
     if args.format == "json":
-        print(_dump([list(b) for b in found]))
+        print(json.dumps([list(b) for b in found]))
     else:
         for b in found:
             print(" ".join(str(e) for e in b))
@@ -283,7 +283,7 @@ def _cmd_rank2(args) -> int:
     except (KeyError, TypeError, ValueError) as e:
         raise _Malformed(f"bad classes: {e}")
     if args.format == "json":
-        print(_dump({"positroid": verdict}))
+        print(json.dumps({"positroid": verdict}))
     else:
         print("positroid" if verdict else "not-positroid")
     return EXIT_OK

@@ -270,11 +270,17 @@ def _walk(n: int, k: int | None, first: int | None) -> Iterator[tuple[int, ...]]
     the residue of the last, whose candidates in [n, 2n] are n + that
     residue, or n and 2n for residue 0: the last position is read off,
     not searched.  The rank is exactly (sum - n(n+1)/2) / n, so the rank
-    filter compares the sum with a target at the leaf.
+    filter compares the sum with a target at the leaf.  With a target, a
+    position past the first takes only the values that leave the rest of
+    it between the least and greatest sums of the positions after it.
     """
     half = n * (n + 1) // 2
     target = None if k is None else k * n + half
-    stack = [iter(range(1, n + 2) if first is None else (first,))]
+    spans = [range(i + 1, i + n + 2) for i in range(n)]  # candidates per position
+    # the least and the greatest sums of the values after each position
+    least = [half - (i + 1) * (i + 2) // 2 for i in range(n)]
+    most = [least[i] + n * (n - 1 - i) for i in range(n)]
+    stack = [iter(spans[0] if first is None else (first,))]
     if n == 1:  # the walk below decides positions 1 to n - 1
         yield from [(v,) for v in stack[0] if target is None or v == target]
         return
@@ -307,7 +313,12 @@ def _walk(n: int, k: int | None, first: int | None) -> Iterator[tuple[int, ...]]
         used[v % n] = True
         total += v
         i += 1
-        stack.append(iter(range(i + 1, i + n + 2)))
+        if target is None:
+            stack.append(iter(spans[i]))
+        else:
+            rest = target - total
+            low, stop = max(i + 1, rest - most[i]), min(i + n + 2, rest - least[i] + 1)
+            stack.append(iter(range(low, stop)))
 
 
 def enumerate_permutations(

@@ -56,14 +56,28 @@ def corners(p: BoundedAffinePermutation) -> list[Square]:
     and to the right are shaded.  Comparing lifts rather than cyclic
     orders keeps the corner test exact next to loops and coloops.
     """
-    n = p.n
+    return [(i, m) for i, m, _ in _ranked_corners(p)]
+
+
+def _ranked_corners(p: BoundedAffinePermutation) -> list[tuple[int, int, int]]:
+    """Each corner (i, m) with the rank of [i, i + m - 1], by one walk per
+    row: as in ``ranks_from``, the rank of [i, j] counts the j' <= j with
+    pi^{-1}(j') < i, which the walk reads off the inverse table."""
+    n, inv = p.n, p._inv
     out = []
     for i in range(1, n + 1):
         lo = max(i, p.eval(i))
         hi = min(i + n - 1, p.eval(i - 1) - 1)
-        for j in range(lo, hi + 1):
-            if p.inverse_at(j) >= i and p.inverse_at(j + 1) < i:
-                out.append((i, j - i + 1))
+        if lo > hi:
+            continue
+        rank = below = 0  # below: whether pi^{-1}(j - 1) < i
+        for j in range(i, hi + 2):
+            pos, val = inv[j % n]
+            now = val - pos > j - i  # pi^{-1}(j) < i
+            if now and not below and lo < j:
+                out.append((i, j - i, rank))
+            rank += now
+            below = now
     return out
 
 
@@ -76,10 +90,10 @@ def ranked_essential_family(p: BoundedAffinePermutation) -> RankedEssentialFamil
     1, and the family is built as it stands, without ``build``'s checks.
     """
     n = p.n
-    found = corners(p)
-    entries = [(p.ranks_from(i)[m], CyclicInterval(n, i, m)) for i, m in found]
+    found = _ranked_corners(p)
+    entries = [(r, CyclicInterval(n, i, m)) for i, m, r in found]
     k = p.rank()
-    entries.insert(bisect_left(found, (2, 0)), (k, CyclicInterval.full(n)))
+    entries.insert(bisect_left(found, (2,)), (k, CyclicInterval.full(n)))
     return RankedEssentialFamily(n, k, tuple(entries))
 
 

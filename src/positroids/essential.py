@@ -55,10 +55,6 @@ class Violation:
         return f"{self.rule}: {self.message} [{shown}]"
 
 
-def _canonical(entries: Iterable[Entry]) -> tuple[Entry, ...]:
-    return tuple(sorted(entries, key=lambda e: (e[1].start, e[1].length, e[0])))
-
-
 @dataclass(frozen=True)
 class RankedEssentialFamily:
     """A family of ranked cyclic intervals including the full-set pair.
@@ -74,8 +70,8 @@ class RankedEssentialFamily:
     Beside the entries it builds on first use their element masks
     (``masks``), which ``rank_from_family`` reads, and the containment
     index (``inside``): for each entry, the indices of the other entries
-    inside it.  Connectedness and excess read the index; the certificate,
-    which builds a family on every validation, pays for neither.
+    inside it.  Only excess and the axiom checker read the index; the
+    certificate, which builds a family on every validation, needs neither.
     """
 
     n: int
@@ -132,7 +128,7 @@ class RankedEssentialFamily:
 
     @classmethod
     def build(cls, n: int, k: int, entries: Iterable[Entry]) -> "RankedEssentialFamily":
-        entries = _canonical(entries)
+        entries = tuple(sorted(entries, key=lambda e: (e[1].start, e[1].length, e[0])))
         seen: set[CyclicInterval] = set()
         full_rank = None
         for r, iv in entries:
@@ -189,107 +185,84 @@ def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) ->
     return best
 
 
-def _sweep(
-    parts: dict[int, list[tuple[int, int]]], first: int, stop: int, target: int
-) -> tuple[list[int], list[int]]:
-    """Nullity sums of pairwise-disjoint parts on the line [first, stop).
-
-    ``parts`` maps a position to the (end, nullity) of each part covering
-    [position, end).  The sweep returns two lists indexed by q - first for
-    q from first to stop: the bitsets of the sums reachable with exactly
-    one part, and with two or more, using the parts inside [first, q).
-    Sums above ``target`` are dropped.
-    """
-    size = stop - first
-    cap = (1 << target + 1) - 1
-    ones = [0] * (size + 1)
-    more = [0] * (size + 1)
-    for p in range(size):
-        single, several = ones[p], more[p]
-        for end, nullity in parts.get(first + p, ()):
-            q = end - first
-            if q <= size:
-                ones[q] |= 1 << nullity
-                more[q] |= (single | several) << nullity & cap
-        ones[p + 1] |= single
-        more[p + 1] |= several
-    return ones, more
-
-
 def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     """Entries whose rank condition is not additively implied by two or
-    more pairwise-disjoint smaller entries inside the interval: the
-    nullity |I| - r is not the sum of their nullities.
+    more pairwise-disjoint smaller entries inside the interval (the
+    nullity |I| - r is not the sum of theirs), in the family's entry
+    order, which ``build`` and ``ranked_essential_family`` make canonical.
 
-    The entries inside a proper I are linear intervals on the arc I, so a
-    sweep along the arc (``_sweep``) decides I; the sweep along the
-    longest entry from a start decides every entry from that start at
-    once.  For the full set, either no part holds element 1, and the
-    parts lie on the line [2, n], or one part J0 does, and the others lie
-    on the line from J0's end to its start, which one sweep per end of
-    such a J0 covers.  Each sweep is O(n + E) bitset operations for E
-    entries, so the whole is O(E·(n + E)).
+    >>> from positroids.diagram import ranked_essential_family
+    >>> p = BoundedAffinePermutation.from_window([3, 4, 8, 7, 6, 9, 10, 13])
+    >>> F = ranked_essential_family(p)
+    >>> [(r, iv.start, iv.length) for r, iv in connected_entries(F)]
+    [(2, 1, 4), (3, 1, 8), (2, 4, 4), (1, 5, 2)]
 
-    Precondition: the family passes the certificate (every CLI route
-    gives one), so every proper entry has positive nullity.  Invalid
-    families can carry zero or negative nullities; the answer on them is
+    Each entry asks whether parts inside a stretch [origin, q) of the
+    doubled line [0, 2n) reach a sum of nullities.  A proper entry is the
+    part [s, s + |I|) and its copy n on, and asks from s with two or more
+    parts.  The full set splits with all parts in [1, n), or with one
+    part J0 holding element 1 and others between J0's end and its start.
+    One sweep answers every question.  Each origin owns a lane of
+    2·width bits in one int (width: the largest nullity plus 1), where
+    ``ones[q]`` holds the sums of one part inside [origin, q) and
+    ``more[q]`` of two or more; a sum shifted past a lane's lower half
+    lands in its upper half, a guard that ``cap`` clears.  So it is
+    O(n + E) operations on ints of O(origins·(n - k)) bits for E entries.
+
+    Precondition: every proper entry has positive nullity, as on every
+    family that passes the certificate; otherwise the answer is
     unspecified.
     """
     n = family.n
     entries = family.entries
-    inside = family.inside()
     starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
     lengths = [iv.length for _, iv in entries]
     nullities = [iv.length - r for r, iv in entries]
+    width = max(nullities) + 1  # above every sum asked for
+    if width < 2:
+        return entries  # no entry has a nullity to split
+    full = lengths.index(n)
+    target = nullities[full]
+    # the full set's questions: (origin, position, sum, whether J0 is taken)
+    splits = [(1, n, target, False)] if target > 0 else []
+    parts: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (length, nullity) by start
+    for a, (start, length, nullity) in enumerate(zip(starts, lengths, nullities)):
+        if a != full and nullity >= 0:
+            parts[start].append((length, nullity))
+            if 0 < target and nullity <= target and (start == 0 or start + length > n):
+                splits.append(((start + length) % n, start or n, target - nullity, True))
+    # lanes in the order of their origins, so the ints grow along the sweep
+    origins = sorted({s for s, group in enumerate(parts) if group} | {q[0] for q in splits})
+    lanes = {origin: lane for lane, origin in enumerate(origins)}
+
+    stride = 2 * width
+    size = max([start + length for start, length in zip(starts, lengths)])
+    opens = {origin: 1 << stride * lane for origin, lane in lanes.items()}
+    cap = ((1 << stride * len(lanes)) - 1) // ((1 << stride) - 1) * ((1 << width) - 1)
+    ones, more = [0] * (size + n), [0] * (size + n)
+    unit = 0  # bit 0 of each lane whose origin is at most p
+    # the parts on [0, size): each from its start, and its copy n on if it fits
+    line = parts + [[(m, x) for m, x in g if s + n + m <= size] for s, g in enumerate(parts)]
+    for p in range(size):
+        unit |= opens.get(p, 0)
+        single, several = ones[p], more[p]
+        either = single | several
+        for length, nullity in line[p]:
+            ones[p + length] |= unit << nullity
+            more[p + length] |= either << nullity & cap
+        ones[p + 1] |= single
+        more[p + 1] |= several
+
     flags = [True] * len(entries)
-    full = None
-    by_start: dict[int, list[int]] = {}
-    for a, length in enumerate(lengths):
-        if length == n:
-            full = a
-        else:
-            by_start.setdefault(starts[a], []).append(a)
-
-    for start, group in by_start.items():
-        target = max([nullities[a] for a in group])
-        if target <= 0:
-            continue
-        longest = max(group, key=lengths.__getitem__)
-        parts: dict[int, list[tuple[int, int]]] = {}
-        for b in inside[longest]:
-            if 0 <= nullities[b] <= target:
-                offset = (starts[b] - start) % n
-                parts.setdefault(offset, []).append((offset + lengths[b], nullities[b]))
-        _, more = _sweep(parts, 0, lengths[longest], target)
-        for a in group:
-            if nullities[a] > 0 and more[lengths[a]] >> nullities[a] & 1:
-                flags[a] = False
-
-    if full is not None and nullities[full] > 0:
-        target = nullities[full]
-        line: dict[int, list[tuple[int, int]]] = {}  # the parts without element 1
-        holders: dict[int, list[int]] = {}  # parts with element 1, by the position after them
-        for b in inside[full]:
-            if not 0 <= nullities[b] <= target:
-                continue
-            if -starts[b] % n < lengths[b]:
-                holders.setdefault((starts[b] + lengths[b]) % n, []).append(b)
-            else:
-                line.setdefault(starts[b], []).append((starts[b] + lengths[b], nullities[b]))
-        _, more = _sweep(line, 1, n, target)
-        split = more[-1] >> target & 1
-        for after, group in holders.items():
-            if split:
-                break
-            # the others lie between J0's end and its start (or n, for J0 from 1)
-            stops = [starts[j] or n for j in group]
-            ones, more = _sweep(line, after, max(stops), target)
-            split = any([
-                (ones[stop - after] | more[stop - after]) >> (target - nullities[j]) & 1
-                for j, stop in zip(group, stops)
-            ])
-        flags[full] = not split
-    return _canonical([e for e, connected in zip(entries, flags) if connected])
+    for a, (start, length, nullity) in enumerate(zip(starts, lengths, nullities)):
+        if a != full and nullity > 0:
+            flags[a] = not more[start + length] >> stride * lanes[start] + nullity & 1
+    if splits:
+        flags[full] = not any([
+            (ones[q] | more[q] if taken else more[q]) >> stride * lanes[origin] + total & 1
+            for origin, q, total, taken in splits
+        ])
+    return tuple([e for e, connected in zip(entries, flags) if connected])
 
 
 def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
@@ -300,7 +273,8 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
     overlap and strict-containment summation would double-count, so only
     the inclusion-maximal proper entries are subtracted: those inside no
     other proper entry.  Entries are taken in length order, so every
-    entry inside I is done before I.
+    entry inside I is done before I.  The dict is built in the family's
+    entry order, so its values can be read alongside the entries.
     """
     entries = family.entries
     inside = family.inside()
@@ -313,9 +287,10 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
 
 
 def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
-    """Entries with positive excess: a minimal set of defining rank conditions."""
-    table = excess(family)
-    return _canonical([e for e in family.entries if table[e[1]] > 0])
+    """Entries with positive excess, in entry order: a minimal set of
+    defining rank conditions."""
+    values = excess(family).values()
+    return tuple([e for e, value in zip(family.entries, values) if value > 0])
 
 
 def _maximal(inside: tuple[tuple[int, ...], ...], group: list[int]) -> list[int]:

@@ -48,8 +48,8 @@ def length(p: BoundedAffinePermutation) -> int:
 
 def codim_from_family(family: RankedEssentialFamily) -> int:
     """Cell codimension as sum of (k - r) times the excess of each entry."""
-    table = excess(family)
-    return sum((family.k - r) * table[iv] for r, iv in family.entries)
+    values = excess(family).values()
+    return sum([(family.k - r) * e for (r, _), e in zip(family.entries, values)])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,12 @@ from positroids.essential import (
 )
 
 from chess_reference import validate_chess as validate_chess_by_rescan
-from connected_reference import connected_by_search, excess_by_rescan, rank_from_connected
+from connected_reference import (
+    connected_by_search,
+    connected_by_sweeps,
+    excess_by_rescan,
+    rank_from_connected,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -577,6 +582,34 @@ class TestAgainstReferences:
         rng = random.Random(n)
         for _ in range(count):
             assert_matches_oracle(window_family(oracle.criterion08_window(rng, n)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_sweep_matches_the_sweeps_exhaustive(self, n):
+        for p in enumerate_permutations(n):
+            F = diagram.ranked_essential_family(p)
+            assert connected_entries(F) == connected_by_sweeps(F)
+
+    @pytest.mark.parametrize("n, count", [(64, 10), (128, 3), (256, 1)])
+    def test_one_sweep_matches_the_sweeps_large(self, n, count):
+        rng = random.Random(n)
+        for _ in range(count):
+            F = window_family(oracle.criterion08_window(rng, n))
+            assert connected_entries(F) == connected_by_sweeps(F)
+
+    def test_positive_nullities_match_the_search(self):
+        # mostly invalid families, whose sums of disjoint nullities can
+        # pass the full set's and whose full set can split three ways
+        rng = random.Random(20261019)
+        for _ in range(1500):
+            n = rng.randint(2, 8)
+            proper = proper_intervals(n)
+            chosen = rng.sample(proper, rng.randint(0, min(9, len(proper))))
+            k = rng.randint(0, n - 1)
+            F = RankedEssentialFamily.build(n, k, [
+                (rng.randrange(iv.length), iv) for iv in chosen
+            ] + [(k, CyclicInterval.full(n))])
+            assert set(connected_entries(F)) == connected_by_search(F)
+            assert connected_by_sweeps(F) == connected_entries(F)
 
     def test_full_set_split_without_element_1(self):
         # [2,3] and [4,5] split the full set; no entry holds element 1
