@@ -21,9 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -227,15 +225,6 @@ def _cmd_polytope(args) -> int:
     return EXIT_OK
 
 
-def _sharded(jobs: int, func, firsts: range, *args) -> list:
-    """The concatenation of func(*args, first=f) over firsts, in order, on
-    at most min(jobs, CPUs, shards) worker processes."""
-    workers = max(1, min(jobs, os.cpu_count() or 1, len(firsts)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(func, *args, first=f) for f in firsts]
-        return [item for future in futures for item in future.result()]
-
-
 def _cmd_bases(args) -> int:
     family = _load_family(_read_json(args.input))
     found = geometry.bases(essential.permutation_from_family(family))
@@ -257,16 +246,9 @@ def _cmd_from_matrix(args) -> int:
     return EXIT_OK
 
 
-def _enumerate_shard(n: int, k: int | None, first: int) -> list[tuple[int, ...]]:
-    return list(enumerate_windows(n, k, first))
-
-
 def _cmd_enumerate(args) -> int:
-    n, k = args.n, args.k
-    windows = enumerate_windows(n, k)  # refuses n < 1 before any worker starts
-    if args.jobs > 1:
-        windows = _sharded(args.jobs, _enumerate_shard, range(1, n + 2), n, k)
-    sys.stdout.writelines(_window_lines(args.format, n, windows))
+    windows = enumerate_windows(args.n, args.k)
+    sys.stdout.writelines(_window_lines(args.format, args.n, windows))
     return EXIT_OK
 
 
@@ -360,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
             with_input=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="kept for compatibility: the enumeration always runs serially")
 
     add("rank2", _cmd_rank2, "positroid test for a loopless rank-2 matroid")
     return parser

@@ -245,22 +245,19 @@ class BoundedAffinePermutation:
         return cls.from_window(window)
 
 
-def enumerate_windows(
-    n: int, k: int | None = None, first: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def enumerate_windows(n: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the window of every bounded affine permutation of size n, as a
     tuple, in window-lex order.
 
-    With k given, only windows of rank k are yielded; with first given,
-    only windows starting with that value (the lex shards used for
-    parallel enumeration).  No permutation object is built.
+    With k given, only windows of rank k are yielded.  No permutation
+    object is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _walk(n, k, first)
+    return _walk(n, k)
 
 
-def _walk(n: int, k: int | None, first: int | None) -> Iterator[tuple[int, ...]]:
+def _walk(n: int, k: int | None) -> Iterator[tuple[int, ...]]:
     """The window walk of ``enumerate_windows``: one explicit stack of
     candidate iterators, one per decided position, and no nested
     generator.
@@ -280,7 +277,7 @@ def _walk(n: int, k: int | None, first: int | None) -> Iterator[tuple[int, ...]]
     # the least and the greatest sums of the values after each position
     least = [half - (i + 1) * (i + 2) // 2 for i in range(n)]
     most = [least[i] + n * (n - 1 - i) for i in range(n)]
-    stack = [iter(spans[0] if first is None else (first,))]
+    stack = [iter(spans[0])]
     if n == 1:  # the walk below decides positions 1 to n - 1
         yield from [(v,) for v in stack[0] if target is None or v == target]
         return
@@ -322,12 +319,10 @@ def _walk(n: int, k: int | None, first: int | None) -> Iterator[tuple[int, ...]]
 
 
 def enumerate_permutations(
-    n: int, k: int | None = None, first: int | None = None
+    n: int, k: int | None = None
 ) -> Iterator[BoundedAffinePermutation]:
     """Yield every bounded affine permutation of size n in window-lex order.
 
-    With k given, only permutations of rank k are yielded; with first
-    given, only windows starting with that value (the lex shards used for
-    parallel enumeration).
+    With k given, only permutations of rank k are yielded.
     """
-    return (BoundedAffinePermutation(n, w) for w in enumerate_windows(n, k, first))
+    return (BoundedAffinePermutation(n, w) for w in enumerate_windows(n, k))

@@ -6,21 +6,15 @@ For a loopless rank-2 positroid the deficient flats (closed sets whose
 rank falls short of their size) are exactly the ranked essential sets;
 a loopless rank-2 matroid, described by its partition into parallel
 classes, is a positroid iff every class is a cyclic interval.  In rank 3
-and up the two families genuinely differ.  Because the classes are cyclic
-intervals, a rank-2 positroid's classes are read from interval ranks
-alone; only the deficient flats enumerate bases.
+and up the two families genuinely differ.  The criterion reads the
+classes alone; only the deficient flats enumerate bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CyclicInterval
-from .essential import (
-    RankedEssentialFamily,
-    permutation_from_family,
-    rank_from_family,
-)
+from .essential import RankedEssentialFamily, permutation_from_family
 from .geometry import TooLarge, bases
 
 
@@ -150,34 +144,3 @@ def is_positroid_rank2(
             return False
     return True
 
-
-def parallel_classes(family: RankedEssentialFamily) -> list[frozenset[int]] | None:
-    """Parallel classes of a loopless rank-2 positroid, or None if not one.
-
-    Elements are parallel when their two-element set has rank 1; in rank 2
-    this is an equivalence partitioning the ground set.  The classes of a
-    positroid are cyclic intervals, so e and a are parallel exactly when
-    one of the two arcs [a, e] and [e, a] has rank 1.
-    """
-    n = family.n
-    if family.k != 2:
-        return None
-    if any(
-        rank_from_family(family, CyclicInterval(n, e, 1)) == 0
-        for e in range(1, n + 1)
-    ):
-        return None  # has a loop
-    classes: list[set[int]] = []
-    for e in range(1, n + 1):
-        for cls in classes:
-            a = min(cls)
-            arcs = (
-                CyclicInterval.from_endpoints(n, a, e),
-                CyclicInterval.from_endpoints(n, e, a),
-            )
-            if min(rank_from_family(family, arc) for arc in arcs) == 1:
-                cls.add(e)
-                break
-        else:
-            classes.append({e})
-    return [frozenset(c) for c in classes]

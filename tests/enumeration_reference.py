@@ -25,19 +25,17 @@ def count_permutations(n: int) -> int:
     return sum(comb(n, f) * 2**f * derangements[n - f] for f in range(n + 1))
 
 
-def windows_by_recursion(
-    n: int, k: int | None = None, first: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """The windows of ``enumerate_windows(n, k, first)``, in the same order,
+def windows_by_recursion(n: int, k: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The windows of ``enumerate_windows(n, k)``, in the same order,
     from one recursive generator per position, ranked by
     ``BoundedAffinePermutation.rank``."""
     if n < 1:
         raise ValueError("n must be positive")
-    return (p.window for p in _extend(n, k, first, [], [False] * n, 1))
+    return (p.window for p in _extend(n, k, [], [False] * n, 1))
 
 
 def _extend(
-    n: int, k: int | None, first: int | None, window: list[int], used: list[bool], i: int
+    n: int, k: int | None, window: list[int], used: list[bool], i: int
 ) -> Iterator[BoundedAffinePermutation]:
     """The completions of the window prefix at position i."""
     if i > n:
@@ -45,13 +43,12 @@ def _extend(
         if k is None or p.rank() == k:
             yield p
         return
-    values = range(i, i + n + 1) if i > 1 or first is None else (first,)
-    for v in values:
+    for v in range(i, i + n + 1):
         r = v % n
         if used[r]:
             continue
         used[r] = True
         window.append(v)
-        yield from _extend(n, k, first, window, used, i + 1)
+        yield from _extend(n, k, window, used, i + 1)
         window.pop()
         used[r] = False

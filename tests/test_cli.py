@@ -7,7 +7,6 @@ import shlex
 import subprocess
 import sys
 import warnings
-from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -247,71 +246,42 @@ class TestFromMatrix:
         assert code == 0 and len(calls) == 1
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    submitted calls in this process, so no worker is ever started."""
-
-    built: list[int] = []
-
-    def __init__(self, max_workers):
-        self.built.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, func, *args, **kwargs):
-        future = Future()
-        future.set_result(func(*args, **kwargs))
-        return future
-
-
 class TestJobs:
-    @pytest.fixture
-    def pool(self, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        _RecordingPool.built = []
-        return _RecordingPool.built
-
-    @pytest.mark.parametrize(
-        "jobs, workers", [(2, 2), (3, 3), (1000, 4)]
-    )
-    def test_enumerate_workers_clamped_to_cpus(self, pool, capsys, jobs, workers):
-        _, serial, _ = run(["enumerate", "--n", "4"], capsys)
-        code, out, _ = run(["enumerate", "--n", "4", "--jobs", str(jobs)], capsys)
-        assert code == 0 and out == serial
-        assert pool == [workers]
+    """``--jobs`` is accepted on ``bases`` and ``enumerate`` and changes
+    nothing: both run serially."""
 
     @pytest.mark.parametrize("jobs", ["0", "2", "1000"])
-    def test_bases_jobs_changes_nothing(self, pool, write_json, capsys, jobs):
+    def test_bases_jobs_changes_nothing(self, write_json, capsys, jobs):
         path = write_json("f.json", FAMILY_A)
         serial = run(["bases", path], capsys)
         assert serial[0] == 0 and len(json.loads(serial[1])) == 44
         assert run(["bases", path, "--jobs", jobs], capsys) == serial
-        assert pool == []
-
-    def test_cpu_count_unknown_means_one_worker(self, pool, monkeypatch, capsys):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        run(["enumerate", "--n", "3", "--jobs", "8"], capsys)
-        assert pool == [1]
 
     @pytest.mark.parametrize("n", ["-5", "0"])
-    def test_enumerate_refuses_nonpositive_n_before_any_pool(self, pool, capsys, n):
+    def test_enumerate_refuses_nonpositive_n_before_any_pool(self, capsys, n):
         serial = run(["enumerate", "--n", n], capsys)
         assert serial == (1, "", "error: n must be positive\n")
         assert run(["enumerate", "--n", n, "--jobs", "2"], capsys) == serial
-        assert pool == []
 
-    def test_bases_bound_holds_when_sharded(self, pool, write_json, capsys):
+    def test_bases_bound_holds_when_sharded(self, write_json, capsys):
         path = write_json("f.json", {"n": 17, "k": 1, "sets": []})
         for argv in (["bases", path], ["bases", path, "--jobs", "2"]):
             code, out, err = run(argv, capsys)
             assert code == 1 and out == ""
             assert "n=17 exceeds bound 16" in err
-        assert pool == []
+
+    def test_cli_import_loads_no_process_pool(self):
+        # no library path starts a process, so importing the CLI loads
+        # neither multiprocessing nor concurrent.futures
+        probe = (
+            "import sys, positroids.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestFamilyValidatedOnce:
@@ -485,9 +455,13 @@ class TestEnumerate:
         )
 
     def test_jobs_preserve_order(self, capsys):
-        _, serial, _ = run(["enumerate", "--n", "4"], capsys)
-        _, parallel, _ = run(["enumerate", "--n", "4", "--jobs", "2"], capsys)
-        assert serial == parallel
+        # --jobs is accepted and changes nothing
+        for flags in [[], ["--k", "2"], ["--format", "text"], ["--k", "2", "--format", "text"]]:
+            serial = run(["enumerate", "--n", "4", *flags], capsys)
+            assert serial[0] == 0 and serial[1]
+            for jobs in ["0", "2", "1000"]:
+                argv = ["enumerate", "--n", "4", *flags, "--jobs", jobs]
+                assert run(argv, capsys) == serial, argv
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_lines_are_json_dumps_and_text_joins(self, n, capsys):

@@ -257,17 +257,6 @@ def test_enumeration_leaves_no_reference_cycles():
 def test_windows_match_the_recursive_reference(n):
     for k in [None, *range(-1, n + 2)]:
         assert list(enumerate_windows(n, k)) == list(windows_by_recursion(n, k))
-        for first in range(1, n + 2):
-            assert list(enumerate_windows(n, k, first)) == list(
-                windows_by_recursion(n, k, first)
-            ), (k, first)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_shards_concatenate_to_the_walk(n):
-    for k in [None, *range(-1, n + 2)]:
-        shards = [w for f in range(1, n + 2) for w in enumerate_windows(n, k, f)]
-        assert shards == list(enumerate_windows(n, k))
 
 
 def test_yielded_windows_are_kept_tuples():

@@ -13,6 +13,7 @@ from positroids.smallrank import (
 )
 
 from chess_reference import mask_arcs
+from smallrank_reference import parallel_classes
 
 
 def family(n, k, sets):
@@ -106,7 +107,7 @@ class TestRank2Criterion:
             if p.loops():
                 continue
             F = diagram.ranked_essential_family(p)
-            realizable.add(frozenset(smallrank.parallel_classes(F)))
+            realizable.add(frozenset(parallel_classes(F)))
 
         def partitions(elements):
             if not elements:
@@ -139,5 +140,5 @@ class TestParallelClasses:
                               if a == e or not any({a, e} <= b for b in found))
                     for e in range(1, n + 1)
                 }
-            classes = smallrank.parallel_classes(F)
+            classes = parallel_classes(F)
             assert (classes if classes is None else set(classes)) == expected, p
