@@ -68,10 +68,8 @@ class RankedEssentialFamily:
     4
 
     Beside the entries it builds on first use their element masks
-    (``masks``), which ``rank_from_family`` reads, and the containment
-    index (``inside``): for each entry, the indices of the other entries
-    inside it.  Only excess and the axiom checker read the index; the
-    certificate, which builds a family on every validation, needs neither.
+    (``masks``), which ``rank_from_family`` reads; the certificate, which
+    builds a family on every validation, does not need them.
     """
 
     n: int
@@ -80,51 +78,12 @@ class RankedEssentialFamily:
     _masks: tuple[int, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    _inside: tuple[tuple[int, ...], ...] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     def masks(self) -> tuple[int, ...]:
         """The entries' element masks (``CyclicInterval.mask``)."""
         if self._masks is None:
             object.__setattr__(self, "_masks", tuple([iv.mask() for _, iv in self.entries]))
         return self._masks
-
-    def inside(self) -> tuple[tuple[int, ...], ...]:
-        """For each entry a, the indices b != a with masks[b] inside masks[a].
-
-        Walking the proper entries from one start in length order, each
-        holds what the one before it holds, that one, and the entries
-        ending after it that start no earlier than they do.  So the index
-        costs O(n) per start plus its own size.
-        """
-        if self._inside is None:
-            n = self.n
-            size = len(self.entries)
-            ending: dict[int, list[tuple[int, int]]] = {}  # end -> [(length, index)]
-            starting: dict[int, list[tuple[int, int]]] = {}
-            index: list[tuple[int, ...]] = [()] * size
-            for a, (_, iv) in enumerate(self.entries):
-                if iv.is_full:
-                    index[a] = tuple([b for b in range(size) if b != a])
-                else:
-                    ending.setdefault((iv.end - 1) % n, []).append((iv.length, a))
-                    starting.setdefault(iv.start - 1, []).append((iv.length, a))
-            for run in ending.values():
-                run.sort()
-            for start, group in starting.items():
-                held: list[int] = []
-                reached = 0
-                for length, a in sorted(group):
-                    for t in range(reached, length):
-                        for other, b in ending.get((start + t) % n, ()):
-                            if other > t + 1:
-                                break
-                            held.append(b)
-                    reached = length
-                    index[a] = tuple(held[:-1])  # a itself is the last one held
-            object.__setattr__(self, "_inside", tuple(index))
-        return self._inside
 
     @classmethod
     def build(cls, n: int, k: int, entries: Iterable[Entry]) -> "RankedEssentialFamily":
@@ -272,17 +231,51 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
     entries strictly inside I.  For the full set, proper entries can
     overlap and strict-containment summation would double-count, so only
     the inclusion-maximal proper entries are subtracted: those inside no
-    other proper entry.  Entries are taken in length order, so every
-    entry inside I is done before I.  The dict is built in the family's
-    entry order, so its values can be read alongside the entries.
+    other proper entry.  The dict is built in the family's entry order,
+    so its values can be read alongside the entries.
+
+    One sweep along the doubled line [0, 2n) computes them.  A proper
+    entry is the copy [s, s + |I|) and its copy n on, and every entry
+    inside I has a copy inside I's first.  Taken by end, then by start
+    from the right, each copy comes after the copies inside it, and a
+    Fenwick tree over starts sums the excesses of those taken that start
+    no earlier.  Taken by start, then by end from the right, a copy that
+    ends within the reach of those before it lies inside one of them, so
+    its entry is not maximal.  So it is O((n + E) log n) for E entries.
     """
+    n = family.n
     entries = family.entries
-    inside = family.inside()
     values = [0] * len(entries)
-    for a in sorted(range(len(entries)), key=lambda a: entries[a][1].length):
-        r, iv = entries[a]
-        subtracted = _maximal(inside, inside[a]) if iv.is_full else inside[a]
-        values[a] = iv.length - r - sum([values[b] for b in subtracted])
+    copies = []  # (start, end, index) of each proper entry's two copies
+    for a, (_, iv) in enumerate(entries):
+        if iv.is_full:
+            full = a
+        else:
+            start = iv.start - 1
+            copies += [(start, start + iv.length, a), (start + n, start + n + iv.length, a)]
+    size = 2 * n
+    tree = [0] * (size + 1)  # a start s at size - s, so a prefix holds the starts from s on
+    for start, end, a in sorted(copies, key=lambda c: (c[1], -c[0])):
+        i = size - start
+        if start < n:  # the first copy: every copy inside it is in the tree
+            held = 0
+            while i:
+                held += tree[i]
+                i &= i - 1
+            values[a] = end - start - entries[a][0] - held
+            i = size - start
+        while i <= size:
+            tree[i] += values[a]
+            i += i & -i
+    nested, reach = set(), 0
+    for _, end, a in sorted(copies, key=lambda c: (c[0], -c[1])):
+        if end <= reach:
+            nested.add(a)
+        reach = max(reach, end)
+    # the full set's own value is still 0 here
+    values[full] = n - entries[full][0] - sum([
+        value for a, value in enumerate(values) if a not in nested
+    ])
     return dict(zip([iv for _, iv in entries], values))
 
 
@@ -291,14 +284,6 @@ def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     defining rank conditions."""
     values = excess(family).values()
     return tuple([e for e, value in zip(family.entries, values) if value > 0])
-
-
-def _maximal(inside: tuple[tuple[int, ...], ...], group: list[int]) -> list[int]:
-    """The members of group inside no other member, in group's order."""
-    held: set[int] = set()
-    for a in group:
-        held.update(inside[a])
-    return [a for a in group if a not in held]
 
 
 def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
@@ -316,11 +301,12 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
         their union arc and the maximal entries inside the gap or the
         overlap; a pair meeting in two arcs must leave each arc its rank.
 
-    E2's nested pairs are the containment index's lists.  Each E3 pair is
-    classified by the offsets of its starts, and reads its union, gap and
-    overlap from a per-arc index built within the call: for each arc
-    asked about, the minimal entries covering it and the sorted bounds
-    its maximal contents put on its rank, each found by a walk over the
+    Each pair is classified by the offsets of its starts: y lies inside
+    a proper x exactly when (s_y - s_x) mod n + |y| <= |x|, which gives
+    E2's nested pairs.  Each E3 pair reads its union, gap and overlap
+    from a per-arc index built within the call: for each arc asked
+    about, the minimal entries covering it and the sorted bounds its
+    maximal contents put on its rank, each found by a walk over the
     positions before or along the arc.  So the checker is O(E^2) for the
     pairs plus O(n) bisections for each of the A <= min(E^2, n^2) distinct
     arcs, plus the size of its output.  A pair whose bounds cannot fail
@@ -329,9 +315,8 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     violations are reported, not just the first.
     """
     n, k = family.n, family.k
-    violations: list[Violation] = []
+    e1: list[Violation] = []
     entries = family.entries
-    inside = family.inside()
     ranks = [r for r, _ in entries]
     starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
     lengths = [iv.length for _, iv in entries]
@@ -384,47 +369,48 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     for r, iv in entries:
         if iv.is_full:
             if r > n:
-                violations.append(
+                e1.append(
                     Violation("E1", ((r, iv),), f"k <= n fails: {r} > {n}")
                 )
             continue
         if r >= iv.length:
-            violations.append(
+            e1.append(
                 Violation("E1", ((r, iv),), f"|I| > r fails: {iv.length} <= {r}")
             )
         if r >= k:
-            violations.append(
+            e1.append(
                 Violation("E1", ((r, iv),), f"k - r > 0 fails with k={k}")
             )
         if k - r > n - iv.length:
-            violations.append(
+            e1.append(
                 Violation(
                     "E1", ((r, iv),), f"complement too small for k - r = {k - r}"
                 )
             )
 
-    # E2 over nested pairs; the full set participates as the outer
-    # interval with the lower bound only (its upper bound is E1's).
-    for a, b in sorted((a, b) for b, held in enumerate(inside) for a in held):
-        (r1, iv1), (r2, iv2) = pair = entries[a], entries[b]
-        if r2 - r1 <= 0:
-            violations.append(Violation(
-                "E2", pair, f"nested ranks not strictly increasing: {r1} -> {r2}"
-            ))
-        if not iv2.is_full and r2 - r1 >= lengths[b] - lengths[a]:
-            violations.append(Violation(
-                "E2", pair, "rank increase not below size difference"
-            ))
-
-    # E3 over ordered pairs of proper entries that are not nested (E2's)
-    held = [set(group) for group in inside]
+    # E2 over nested pairs (x inside y), the full set as an outer interval
+    # with the lower bound only (its upper bound is E1's); E3 over ordered
+    # pairs of proper entries nested neither way
+    e2: list[Violation] = []
+    e3: list[Violation] = []
     for x in proper:
         sx, lx = starts[x], lengths[x]
-        for y in proper:
-            if x == y or y in held[x] or x in held[y]:
-                continue
+        for y in range(len(entries)):
             sy, ly = starts[y], lengths[y]
             ox, oy = (sy - sx) % n, (sx - sy) % n  # where each starts from the other
+            if ox + ly <= lx:
+                continue  # y is x or inside it
+            if ly == n or oy + lx <= ly:
+                (r1, _), (r2, _) = pair = entries[x], entries[y]
+                if r2 - r1 <= 0:
+                    e2.append(Violation(
+                        "E2", pair, f"nested ranks not strictly increasing: {r1} -> {r2}"
+                    ))
+                if ly < n and r2 - r1 >= ly - lx:
+                    e2.append(Violation(
+                        "E2", pair, "rank increase not below size difference"
+                    ))
+                continue
             if ox >= lx and oy >= ly:
                 if x > y:
                     continue  # each unordered disjoint pair once, both ways
@@ -437,7 +423,7 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                         # the bounds below rank c - rank p - rank q fail
                         failing = bisect_left(gap, ranks[c] - ranks[p] - ranks[q])
                         if failing:
-                            violations += [Violation(
+                            e3 += [Violation(
                                 "E3", (entries[p], entries[q], entries[c]),
                                 "disjoint-pair inequality fails",
                             )] * failing
@@ -452,7 +438,7 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                         implied < bound and implied < arc_rank(*arc)
                         for arc, bound in zip(arcs, bounds)
                     ):
-                        violations.append(Violation(
+                        e3.append(Violation(
                             "E3", (entries[x], entries[y]),
                             "two-arc intersection rank inconsistent",
                         ))
@@ -465,11 +451,11 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                     # the bounds above rank x + rank y - rank c fail
                     failing = len(overlap) - bisect_right(overlap, room - ranks[c])
                     if failing:
-                        violations += [Violation(
+                        e3 += [Violation(
                             "E3", (entries[x], entries[y], entries[c]),
                             "overlapping-pair inequality fails",
                         )] * failing
-    return violations
+    return e1 + e2 + e3
 
 
 def permutation_from_family(

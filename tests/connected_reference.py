@@ -10,7 +10,8 @@ exponential or quadratic per entry, and are the references that
 ``essential.connected_entries``, ``essential.excess`` and the paper's
 rank-from-connected theorem are checked against.  Beside them,
 ``connected_by_sweeps`` decides connectedness by one bitset sweep per
-start along the containment index, polynomial and so usable at n = 256.
+start over the entries inside its longest entry, polynomial and so
+usable at n = 256.
 """
 
 from __future__ import annotations
@@ -104,7 +105,11 @@ def connected_by_sweeps(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     """
     n = family.n
     entries = family.entries
-    inside = family.inside()
+    masks = family.masks()
+    inside = [  # for each entry, the others inside it
+        [b for b, mb in enumerate(masks) if b != a and not mb & ~ma]
+        for a, ma in enumerate(masks)
+    ]
     starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
     lengths = [iv.length for _, iv in entries]
     nullities = [iv.length - r for r, iv in entries]

@@ -180,12 +180,6 @@ class TestPolytopeAndBases:
         assert found == sorted(found)
         assert [1, 5, 7] in found and [1, 5, 6] not in found
 
-    def test_bases_jobs_match_serial(self, write_json, capsys):
-        path = write_json("f.json", FAMILY_A)
-        _, serial, _ = run(["bases", path], capsys)
-        _, parallel, _ = run(["bases", path, "--jobs", "2"], capsys)
-        assert serial == parallel
-
 
 class TestFromMatrix:
     def test_figure_matrix(self, write_json, capsys):

@@ -149,8 +149,8 @@ class TestConnected:
         try:
             connected_entries(family_a)
             assert gc.collect() == 0
-            # each on a family of its own, so each builds the index itself
-            computations = (RankedEssentialFamily.inside, connected_entries, excess, core)
+            # each on a family of its own, so each builds its masks itself
+            computations = (validate_chess, connected_entries, excess, core)
             for compute, F in zip(computations, fresh):
                 compute(F)
                 assert gc.collect() == 0, compute.__name__
@@ -522,23 +522,13 @@ def reference_core(F):
     return {e for e in F.entries if table[e[1]] > 0}
 
 
-def assert_index_is_mask_containment(F):
-    masks = F.masks()
-    assert [sorted(held) for held in F.inside()] == [
-        [b for b, mb in enumerate(masks) if b != a and not mb & ~ma]
-        for a, ma in enumerate(masks)
-    ]
-
-
 def assert_matches_references(F):
-    assert_index_is_mask_containment(F)
     assert set(connected_entries(F)) == connected_by_search(F)
     assert excess(F) == excess_by_rescan(F)
     assert set(core(F)) == reference_core(F)
 
 
 def assert_matches_oracle(F):
-    assert_index_is_mask_containment(F)
     n = F.n
     entries = [(r, iv.start, iv.length) for r, iv in F.entries]
     table = oracle.excess(n, entries)
@@ -552,9 +542,8 @@ def assert_matches_oracle(F):
 
 
 class TestAgainstReferences:
-    """The sweep and the containment index against the searches that
-    follow the definitions, and against the benchmark's sweep beyond
-    their reach."""
+    """The sweeps against the searches that follow the definitions, and
+    against the benchmark's sweeps beyond their reach."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive(self, n):
@@ -569,13 +558,14 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_index_on_every_candidate(self, n):
-        # mostly invalid families, which the axiom checker reads it on
+        # excess on mostly invalid families, whose entries nest in ways
+        # no valid family's do
         for F in candidate_families(n):
-            assert_index_is_mask_containment(F)
+            assert excess(F) == excess_by_rescan(F)
 
     def test_index_on_perturbed(self):
         for F in perturbed_families():
-            assert_index_is_mask_containment(F)
+            assert excess(F) == excess_by_rescan(F)
 
     @pytest.mark.parametrize("n, count", [(64, 4), (128, 1)])
     def test_large_windows_against_oracle(self, n, count):
