@@ -194,6 +194,10 @@ class BoundedAffinePermutation:
         pi(e) > e and takes 1 away when inverse_at(e) lies in [start, e);
         together, it adds 1 exactly when inverse_at(e) < start, that is
         when e - inverse_at(e) >= ln.
+
+        >>> p = BoundedAffinePermutation.from_window([3, 4, 8, 7, 6, 9, 10, 13])
+        >>> p.ranks_from(5)  # [5], [5, 6], ..., [5, 4]
+        (0, 1, 1, 2, 3, 3, 3, 3, 3)
         """
         row = self._rows.get(start)
         if row is None:
@@ -212,15 +216,6 @@ class BoundedAffinePermutation:
         if interval.n != self.n:
             raise ValueError("interval ground set does not match permutation")
         return self.ranks_from(interval.start)[interval.length]
-
-    def interval_ranks(self) -> tuple[tuple[int, ...], ...]:
-        """Every interval rank: entry [c - 1][ln] is ``ranks_from(c)[ln]``.
-
-        >>> p = BoundedAffinePermutation.from_window([3, 4, 8, 7, 6, 9, 10, 13])
-        >>> p.interval_ranks()[4]  # from 5: [5], [5, 6], ..., [5, 4]
-        (0, 1, 1, 2, 3, 3, 3, 3, 3)
-        """
-        return tuple([self.ranks_from(c) for c in range(1, self.n + 1)])
 
     def rank(self) -> int:
         """The mean of pi(i) - i over the window, with no rank row built."""

@@ -1,7 +1,7 @@
 """
 Geometric quantities of a positroid: cell codimension, polytope facets
 (which are also the variety's rank conditions), basis enumeration by one
-serial pruned search, and the codimension-one boundary cells.
+serial level-by-level search, and the codimension-one boundary cells.
 
 The codimension of a positroid cell equals the inversion length of its
 bounded affine permutation; it can also be assembled from the family as
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BoundedAffinePermutation, CyclicInterval
+from .diagram import ranked_essential_family
 from .essential import RankedEssentialFamily, connected_entries, excess
 
 
@@ -28,6 +29,19 @@ class TooLarge(ValueError):
 
 
 BASES_BOUND = 16
+
+
+def _byte_table(first: int) -> tuple[tuple[int, ...], ...]:
+    """The elements of each byte value b, bit 0 being element ``first``.
+    Entry b + 2^i is entry b with first + i added, for b < 2^i."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(8):
+        table += [t + (first + i,) for t in table]
+    return tuple(table)
+
+
+# the elements of a mask's bits 0-7 and 8-15, by byte value
+_LOW, _HIGH = _byte_table(1), _byte_table(9)
 
 
 def length(p: BoundedAffinePermutation) -> int:
@@ -104,70 +118,49 @@ def facet_system(family: RankedEssentialFamily) -> FacetSystem:
 def bases(
     p: BoundedAffinePermutation, bound: int = BASES_BOUND
 ) -> list[tuple[int, ...]]:
-    """All bases of the positroid: k-subsets meeting every interval rank cap.
+    """All bases of the positroid: k-subsets meeting the cap of every
+    entry of its essential family.
 
     Returned sorted lexicographically as tuples of elements of [n].
 
-    A k-subset S is a basis exactly when |S & I| <= rank(I) for every
-    proper cyclic interval I.  Each such I is a linear interval [c, d] or
-    the complement of one, whose cap reads |S & [c, d]| >= k - rank(I).
-    So with P(e) = |S & [1, e]|, every proper [c, d] must have
-    lo <= P(d) - P(c - 1) <= hi.  A depth-first search decides e = 1..n
-    in turn, taking e before leaving it out (which yields lex order), and
-    checks the caps ending at e as soon as e is decided.  Caps that every
-    k-subset meets are dropped, so its cost follows the number of bases,
-    not C(n, k).  The ranks come from one interval-rank table.
+    A k-subset S is a basis exactly when |S & J| <= r for every entry
+    (r, J) of the family: every interval rank is min(|I|, r + |I \\ J|)
+    over the entries, and |S & I| <= |S & J| + |I \\ J|.  A linear entry
+    J = [c, d] is the cap |S & [c, d]| <= r.  A wrapped entry's
+    complement is a linear [c, d], and as |S| = k its cap reads
+    |S & [c, d]| >= k - r.  Entries that every k-subset meets
+    (r >= min(|J|, k)) give no cap.
+
+    The search decides e = n down to 1, level by level over int masks
+    (bit e - 1 for e).  The states that take e go before those that
+    leave it out, and e is the first decided element a lex comparison
+    meets, so the states stay in lex order.  A state takes e only below
+    k elements, and leaves it out only if the e - 1 elements left can
+    still make up k; then every cap with c = e filters the states.
     """
     n = p.n
     TooLarge.check(n, bound)
-    table = p.interval_ranks()
-    k = table[0][n]
+    k = p.rank()
+    full = (1 << n) - 1
     caps: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        for c in range(1, d + 1):
-            ln = d - c + 1
-            if ln == n:
-                continue
-            hi = table[c - 1][ln]
-            lo = k - table[d % n][n - ln]  # the complement starts at d + 1
-            if hi < min(ln, k) or lo > max(0, k - (n - ln)):
-                caps[d].append((c - 1, lo, hi))
-    out: list[tuple[int, ...]] = []
-    _search(1, n, k, caps, [0] * (n + 1), [], out)
-    return out
-
-
-def _search(
-    e: int,
-    n: int,
-    k: int,
-    caps: list[list[tuple[int, int, int]]],
-    prefix: list[int],
-    chosen: list[int],
-    out: list[tuple[int, ...]],
-) -> None:
-    """Append to out every basis extending the decided elements before e,
-    of which prefix counts the chosen ones.  It recurses on itself, not
-    through a nested closure, which would leave a reference cycle on
-    every call."""
-    if e > n:
-        out.append(tuple(chosen))
-        return
-    before = prefix[e - 1]
-    for take in (1, 0):
-        count = before + take
-        if count > k or count + n - e < k:
+    for r, iv in ranked_essential_family(p).entries:
+        if r >= min(iv.length, k):
             continue
-        for c, lo, hi in caps[e]:
-            if not lo <= count - prefix[c] <= hi:
-                break
-        else:
-            prefix[e] = count
-            if take:
-                chosen.append(e)
-            _search(e + 1, n, k, caps, prefix, chosen, out)
-            if take:
-                chosen.pop()
+        if iv.end <= n:
+            caps[iv.start].append((iv.mask(), 0, r))
+        else:  # the complement [end - n + 1, start - 1]
+            caps[iv.end - n + 1].append((full ^ iv.mask(), k - r, k))
+    states = [0]
+    for e in range(n, 0, -1):
+        bit = 1 << e - 1
+        states = [s | bit for s in states if s.bit_count() < k] + [
+            s for s in states if s.bit_count() > k - e
+        ]
+        for mask, lo, hi in caps[e]:
+            states = [m for m in states if lo <= (m & mask).bit_count() <= hi]
+    if n > 16:  # beyond the two byte tables
+        return [tuple([e + 1 for e in range(n) if m >> e & 1]) for m in states]
+    return [_LOW[m & 255] + _HIGH[m >> 8] for m in states]
 
 
 def codim1_boundary_count(p: BoundedAffinePermutation) -> int:

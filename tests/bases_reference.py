@@ -4,8 +4,8 @@ References for the bases of a positroid, used only by the tests.
 ``bases_by_scan`` tests every k-subset against the rank cap of every
 proper cyclic interval, with the caps read from the family by
 ``rank_from_family``.  ``geometry.bases`` reaches the same subsets, in
-the same lexicographic order, by a pruned search over the interval-rank
-table of the family's permutation, and is checked against it.  The two
+the same lexicographic order, by a level-by-level search that checks
+only one cap per entry of the family, and is checked against it.  The two
 others read the bases another way: ``matroid_bases`` from the nonzero
 maximal minors of a realizing matrix, and ``binary_lattice_points`` as
 the 0/1 points of the positroid polytope's facet system.

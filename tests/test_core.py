@@ -158,7 +158,7 @@ class TestRank:
 
         rng = random.Random(n)
         for p in enumerate_permutations(n):
-            table = p.interval_ranks()
+            table = [p.ranks_from(c) for c in range(1, n + 1)]
             assert len(table) == n
             for start, row in enumerate(table, start=1):
                 assert row == tuple(

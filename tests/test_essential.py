@@ -557,13 +557,13 @@ class TestAgainstReferences:
                 assert_matches_references(window_family(oracle.criterion08_window(rng, n)))
 
     @pytest.mark.parametrize("n", range(1, 4))
-    def test_index_on_every_candidate(self, n):
+    def test_excess_on_every_candidate(self, n):
         # excess on mostly invalid families, whose entries nest in ways
         # no valid family's do
         for F in candidate_families(n):
             assert excess(F) == excess_by_rescan(F)
 
-    def test_index_on_perturbed(self):
+    def test_excess_on_perturbed(self):
         for F in perturbed_families():
             assert excess(F) == excess_by_rescan(F)
 

@@ -170,6 +170,15 @@ class TestBases:
         with pytest.raises(TooLarge):
             bases(perm_a, bound=4)
 
+    def test_caps_come_from_the_family(self, perm_a):
+        # the caps are the essential family's entries: no interval rank
+        # row of the permutation is built
+        rng = random.Random("bases:rows")
+        for p in (perm_a, reference.random_permutation(rng, 14)):
+            fresh = BoundedAffinePermutation(p.n, p.window)
+            assert bases(fresh) == bases_by_scan(diagram.ranked_essential_family(p))
+            assert fresh._rows == {}
+
 
 def _assert_matches_scan(p):
     """bases equals the k-subset scan."""
@@ -197,6 +206,21 @@ class TestBasesAgainstScan:
     def test_all_loops_and_all_coloops(self, n):
         for window in (range(1, n + 1), range(n + 1, 2 * n + 1)):
             _assert_matches_scan(BoundedAffinePermutation.from_window(window))
+
+    def test_beyond_the_byte_tables(self):
+        # n = 17 with a raised bound: past n = 16 the masks are read bit
+        # by bit, not through the byte tables.  Swaps that keep the window
+        # bounded keep rank 3.
+        rng = random.Random("bases:17")
+        window = [i + 3 for i in range(1, 18)]
+        for _ in range(40):
+            a, b = sorted(rng.sample(range(1, 18), 2))
+            if window[a - 1] >= b and window[b - 1] <= a + 17:
+                window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
+        p = BoundedAffinePermutation.from_window(window)
+        found = bases(p, bound=17)
+        assert found == bases_by_scan(diagram.ranked_essential_family(p))
+        assert any(17 in b for b in found) and len(found) < 680
 
 
 class TestVarietyConditions:
