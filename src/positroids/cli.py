@@ -129,30 +129,27 @@ def _parse_interval(n: int, spec: str) -> CyclicInterval:
         raise _Malformed(f"bad interval '{spec}': {e}")
 
 
+def _two_routes(perm, family, both: bool, by_perm, by_family):
+    """The value by the input's own route and, with ``both``, by the other.
+
+    A family is certified first; a permutation's family is extracted only
+    for the second route."""
+    if perm is None:
+        perm = essential.permutation_from_family(family)  # the certificate
+        return by_family(family), by_perm(perm) if both else None
+    value = by_perm(perm)
+    return value, by_family(diagram.ranked_essential_family(perm)) if both else None
+
+
 def _cmd_rank(args) -> int:
     perm, family = _load_perm_or_family(_read_json(args.input))
-    n = perm.n if perm else family.n
-    interval = _parse_interval(n, args.interval)
-    if perm is not None:
-        direct = perm.rank_interval(interval)
-        if args.both:
-            via_family = essential.rank_from_family(
-                diagram.ranked_essential_family(perm), interval
-            )
-            if direct != via_family:
-                raise _Disagreement(
-                    f"rank disagreement: permutation {direct}, family {via_family}"
-                )
-    else:
-        perm = essential.permutation_from_family(family)  # the certificate
-        direct = essential.rank_from_family(family, interval)
-        if args.both:
-            via_perm = perm.rank_interval(interval)
-            if direct != via_perm:
-                raise _Disagreement(
-                    f"rank disagreement: family {direct}, permutation {via_perm}"
-                )
-    print(direct)
+    interval = _parse_interval(perm.n if perm else family.n, args.interval)
+    value, other = _two_routes(perm, family, args.both, lambda p: p.rank_interval(interval),
+                               lambda f: essential.rank_from_family(f, interval))
+    if args.both and value != other:
+        first, second = ("permutation", "family") if perm else ("family", "permutation")
+        raise _Disagreement(f"rank disagreement: {first} {value}, {second} {other}")
+    print(value)
     return EXIT_OK
 
 
@@ -193,24 +190,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_codim(args) -> int:
     perm, family = _load_perm_or_family(_read_json(args.input))
-    if perm is not None:
-        value = geometry.length(perm)
-        if args.both:
-            other = geometry.codim_from_family(diagram.ranked_essential_family(perm))
-            if value != other:
-                raise _Disagreement(f"codim disagreement: {value} vs {other}")
-            print(value, other)
-            return EXIT_OK
-    else:
-        perm = essential.permutation_from_family(family)  # the certificate
-        value = geometry.codim_from_family(family)
-        if args.both:
-            other = geometry.length(perm)
-            if value != other:
-                raise _Disagreement(f"codim disagreement: {value} vs {other}")
-            print(value, other)
-            return EXIT_OK
-    print(value)
+    value, other = _two_routes(perm, family, args.both, geometry.length,
+                               geometry.codim_from_family)
+    if args.both and value != other:
+        raise _Disagreement(f"codim disagreement: {value} vs {other}")
+    print(*[value, other] if args.both else [value])
     return EXIT_OK
 
 
@@ -227,7 +211,9 @@ def _cmd_polytope(args) -> int:
 
 def _cmd_bases(args) -> int:
     family = _load_family(_read_json(args.input))
-    found = geometry.bases(essential.permutation_from_family(family))
+    essential.permutation_from_family(family)  # certified: the permutation's own family
+    geometry.TooLarge.check(family.n, geometry.BASES_BOUND)
+    found = geometry._bases(family)
     if args.format == "json":
         print(json.dumps([list(b) for b in found]))
     else:

@@ -51,12 +51,24 @@ def json_int(value) -> int:
     return value.__index__()
 
 
+def interval_start(n: int, start: int, length: int) -> int:
+    """The start of the cyclic interval (start, length) on [n], once its
+    ranges are checked: 1 for the full set, whatever its start."""
+    if n < 1:
+        raise ValueError(f"ground set size must be positive, got {n}")
+    if not 1 <= start <= n:
+        raise ValueError(f"start {start} outside [1, {n}]")
+    if not 1 <= length <= n:
+        raise ValueError(f"length {length} outside [1, {n}]")
+    return 1 if length == n else start
+
+
 def residue(x: int, n: int) -> int:
     """Representative of x mod n in [1, n]."""
     return (x - 1) % n + 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CyclicInterval:
     """The cyclic interval [start, start+length-1] in [n], indices mod n.
 
@@ -77,14 +89,8 @@ class CyclicInterval:
     length: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ground set size must be positive, got {self.n}")
-        if not 1 <= self.start <= self.n:
-            raise ValueError(f"start {self.start} outside [1, {self.n}]")
-        if not 1 <= self.length <= self.n:
-            raise ValueError(f"length {self.length} outside [1, {self.n}]")
-        if self.length == self.n and self.start != 1:
-            object.__setattr__(self, "start", 1)
+        if not (1 <= self.length < self.n and 1 <= self.start <= self.n):
+            object.__setattr__(self, "start", interval_start(self.n, self.start, self.length))
 
     @classmethod
     def from_endpoints(cls, n: int, i: int, j: int) -> "CyclicInterval":
@@ -116,13 +122,6 @@ class CyclicInterval:
         run of ``length`` bits from bit start-1, folded back past bit n-1."""
         run = ((1 << self.length) - 1) << (self.start - 1)
         return (run | run >> self.n) & ((1 << self.n) - 1)
-
-    def to_json(self) -> dict:
-        return {"start": self.start, "len": self.length}
-
-    @classmethod
-    def from_json(cls, n: int, obj: dict) -> "CyclicInterval":
-        return cls(n, json_int(obj["start"]), json_int(obj["len"]))
 
 
 @dataclass(frozen=True)

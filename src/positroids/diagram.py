@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .core import BoundedAffinePermutation, CyclicInterval
+from .core import BoundedAffinePermutation
 from .essential import RankedEssentialFamily
 
 Square = tuple[int, int]
@@ -82,19 +82,17 @@ def _ranked_corners(p: BoundedAffinePermutation) -> list[tuple[int, int, int]]:
 
 
 def ranked_essential_family(p: BoundedAffinePermutation) -> RankedEssentialFamily:
-    """Corners converted to ranked cyclic intervals, plus the full-set pair.
+    """The ranked corners as the family's triples, plus the full set's.
 
-    ``corners`` yields (start, length) in the family's canonical order, and
-    no corner has length n: that would need pi^{-1}(i + n) < i, against
-    pi(l) <= l + n.  So the full pair goes in after the corners at start
-    1, and the family is built as it stands, without ``build``'s checks.
+    ``_ranked_corners`` yields them in canonical order, and no corner has
+    length n: that would need pi^{-1}(i + n) < i, against pi(l) <= l + n.
+    So (1, n, k) goes in after the corners at start 1, without ``build``'s checks.
     """
     n = p.n
     found = _ranked_corners(p)
-    entries = [(r, CyclicInterval(n, i, m)) for i, m, r in found]
     k = p.rank()
-    entries.insert(bisect_left(found, (2,)), (k, CyclicInterval.full(n)))
-    return RankedEssentialFamily(n, k, tuple(entries))
+    found.insert(bisect_left(found, (2,)), (1, n, k))
+    return RankedEssentialFamily(n, k, tuple(found))
 
 
 def render(p: BoundedAffinePermutation) -> str:

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
+    interval_start,
     json_int,
     residue,
 )
-from .retrieval import InvalidInput, conditions_from_family, retrieve
+from .retrieval import InvalidInput, _dotted
 
 Entry = tuple[int, CyclicInterval]
 
@@ -64,69 +65,78 @@ class RankedEssentialFamily:
     ...         {"rank": 1, "start": 5, "len": 2},
     ...         {"rank": 2, "start": 1, "len": 4},
     ...         {"rank": 2, "start": 4, "len": 4}]})
-    >>> len(F.entries)  # the (3, [1,8]) pair is synthesized
-    4
+    >>> F.triples  # (start, length, rank), the (1, 8, 3) synthesized
+    ((1, 4, 2), (1, 8, 3), (4, 4, 2), (5, 2, 1))
 
-    Beside the entries it builds on first use their element masks
-    (``masks``), which ``rank_from_family`` reads; the certificate, which
-    builds a family on every validation, does not need them.
+    It stores one sorted int triple per entry, which is canonical order;
+    equality and the hash read n, k and the triples.  Built on first use
+    are the (rank, CyclicInterval) ``entries`` the API returns and their
+    element masks (``masks``), which ``rank_from_family`` reads; the
+    certificate, which builds a family on every validation, needs neither.
     """
 
     n: int
     k: int
-    entries: tuple[Entry, ...]
-    _masks: tuple[int, ...] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    triples: tuple[tuple[int, int, int], ...]
+
+    @functools.cached_property
+    def entries(self) -> tuple[Entry, ...]:
+        """The (rank, CyclicInterval) pairs, in canonical order."""
+        n = self.n
+        return tuple([(r, CyclicInterval(n, s, length)) for s, length, r in self.triples])
+
+    @functools.cached_property
+    def _masks(self) -> tuple[int, ...]:
+        return tuple([iv.mask() for _, iv in self.entries])
 
     def masks(self) -> tuple[int, ...]:
         """The entries' element masks (``CyclicInterval.mask``)."""
-        if self._masks is None:
-            object.__setattr__(self, "_masks", tuple([iv.mask() for _, iv in self.entries]))
         return self._masks
 
     @classmethod
     def build(cls, n: int, k: int, entries: Iterable[Entry]) -> "RankedEssentialFamily":
-        entries = tuple(sorted(entries, key=lambda e: (e[1].start, e[1].length, e[0])))
-        seen: set[CyclicInterval] = set()
+        entries = sorted(entries, key=lambda e: (e[1].start, e[1].length, e[0]))
+        triples = [(iv.start, iv.length, r) for r, iv in entries]
+        return cls._checked(n, k, triples, [iv.n for _, iv in entries])
+
+    @classmethod
+    def _checked(cls, n: int, k: int, triples: list, grounds: list | None = None):
+        """The family of these triples, checked in canonical order; for
+        ``build``, ``grounds`` holds each entry's ground set."""
+        triples.sort()
         full_rank = None
-        for r, iv in entries:
-            if iv.n != n:
+        last_start = last_length = 0
+        for a, (start, length, r) in enumerate(triples):
+            if grounds and grounds[a] != n:
                 raise ValueError("entry ground set does not match family")
             if r < 0:
                 raise ValueError(f"negative rank label {r}")
-            if iv in seen:
-                raise ValueError(f"duplicate interval {iv}")
-            seen.add(iv)
-            if iv.is_full:
+            if start == last_start and length == last_length:
+                raise ValueError(f"duplicate interval {CyclicInterval(n, start, length)}")
+            last_start, last_length = start, length
+            if length == n:
                 full_rank = r
         if full_rank is None:
             raise ValueError("family must contain the full-set pair")
         if full_rank != k:
             raise ValueError(f"full-set rank {full_rank} does not match k={k}")
-        return cls(n, k, entries)
+        return cls(n, k, tuple(triples))
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "sets": [
-                {"rank": r, "start": iv.start, "len": iv.length}
-                for r, iv in self.entries
-            ],
-        }
+        sets = [{"rank": r, "start": start, "len": length} for start, length, r in self.triples]
+        return {"n": self.n, "k": self.k, "sets": sets}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RankedEssentialFamily":
-        n = json_int(obj["n"])
-        k = json_int(obj["k"])
-        entries = [
-            (json_int(s["rank"]), CyclicInterval.from_json(n, s))
-            for s in obj["sets"]
-        ]
-        if not any(iv.is_full for _, iv in entries):
-            entries.append((k, CyclicInterval.full(n)))
-        return cls.build(n, k, entries)
+        n, k = json_int(obj["n"]), json_int(obj["k"])
+        triples = []
+        for s in obj["sets"]:
+            r = json_int(s["rank"])
+            start, length = json_int(s["start"]), json_int(s["len"])
+            triples.append((interval_start(n, start, length), length, r))
+        if not any([length == n for _, length, _ in triples]):
+            triples.append((interval_start(n, 1, n), n, k))
+        return cls._checked(n, k, triples)
 
 
 def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) -> int:
@@ -139,7 +149,7 @@ def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) ->
         raise ValueError("interval ground set does not match family")
     imask = interval.mask()
     best = interval.length
-    for (r, _), emask in zip(family.entries, family.masks()):
+    for (_, _, r), emask in zip(family.triples, family.masks()):
         best = min(best, r + (imask & ~emask).bit_count())
     return best
 
@@ -173,13 +183,13 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     unspecified.
     """
     n = family.n
-    entries = family.entries
-    starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
-    lengths = [iv.length for _, iv in entries]
-    nullities = [iv.length - r for r, iv in entries]
+    triples = family.triples
+    starts = [start - 1 for start, _, _ in triples]  # 0-based positions
+    lengths = [length for _, length, _ in triples]
+    nullities = [length - r for _, length, r in triples]
     width = max(nullities) + 1  # above every sum asked for
     if width < 2:
-        return entries  # no entry has a nullity to split
+        return family.entries  # no entry has a nullity to split
     full = lengths.index(n)
     target = nullities[full]
     # the full set's questions: (origin, position, sum, whether J0 is taken)
@@ -212,7 +222,7 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
         ones[p + 1] |= single
         more[p + 1] |= several
 
-    flags = [True] * len(entries)
+    flags = [True] * len(triples)
     for a, (start, length, nullity) in enumerate(zip(starts, lengths, nullities)):
         if a != full and nullity > 0:
             flags[a] = not more[start + length] >> stride * lanes[start] + nullity & 1
@@ -221,7 +231,7 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
             (ones[q] | more[q] if taken else more[q]) >> stride * lanes[origin] + total & 1
             for origin, q, total, taken in splits
         ])
-    return tuple([e for e, connected in zip(entries, flags) if connected])
+    return tuple([e for e, connected in zip(family.entries, flags) if connected])
 
 
 def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
@@ -244,15 +254,15 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
     its entry is not maximal.  So it is O((n + E) log n) for E entries.
     """
     n = family.n
-    entries = family.entries
-    values = [0] * len(entries)
+    triples = family.triples
+    values = [0] * len(triples)
     copies = []  # (start, end, index) of each proper entry's two copies
-    for a, (_, iv) in enumerate(entries):
-        if iv.is_full:
+    for a, (start, length, _) in enumerate(triples):
+        if length == n:
             full = a
         else:
-            start = iv.start - 1
-            copies += [(start, start + iv.length, a), (start + n, start + n + iv.length, a)]
+            start -= 1
+            copies += [(start, start + length, a), (start + n, start + n + length, a)]
     size = 2 * n
     tree = [0] * (size + 1)  # a start s at size - s, so a prefix holds the starts from s on
     for start, end, a in sorted(copies, key=lambda c: (c[1], -c[0])):
@@ -262,7 +272,7 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
             while i:
                 held += tree[i]
                 i &= i - 1
-            values[a] = end - start - entries[a][0] - held
+            values[a] = end - start - triples[a][2] - held
             i = size - start
         while i <= size:
             tree[i] += values[a]
@@ -273,10 +283,10 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
             nested.add(a)
         reach = max(reach, end)
     # the full set's own value is still 0 here
-    values[full] = n - entries[full][0] - sum([
+    values[full] = n - triples[full][2] - sum([
         value for a, value in enumerate(values) if a not in nested
     ])
-    return dict(zip([iv for _, iv in entries], values))
+    return dict(zip([iv for _, iv in family.entries], values))
 
 
 def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
@@ -316,10 +326,10 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     """
     n, k = family.n, family.k
     e1: list[Violation] = []
-    entries = family.entries
-    ranks = [r for r, _ in entries]
-    starts = [iv.start - 1 for _, iv in entries]  # 0-based positions
-    lengths = [iv.length for _, iv in entries]
+    triples, entries = family.triples, family.entries  # entries name the violations
+    ranks = [r for _, _, r in triples]
+    starts = [start - 1 for start, _, _ in triples]  # 0-based positions
+    lengths = [length for _, length, _ in triples]
     full, proper = lengths.index(n), [a for a, length in enumerate(lengths) if length < n]
     # the proper entries from each position, in length order as canonical order has them
     starting: list[list[int]] = [[] for _ in range(n)]
@@ -366,27 +376,19 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
         return rank_from_family(family, CyclicInterval(n, start + 1, length))
 
     # E1
-    for r, iv in entries:
-        if iv.is_full:
+    for entry, length, r in zip(entries, lengths, ranks):
+        if length == n:
             if r > n:
-                e1.append(
-                    Violation("E1", ((r, iv),), f"k <= n fails: {r} > {n}")
-                )
+                e1.append(Violation("E1", (entry,), f"k <= n fails: {r} > {n}"))
             continue
-        if r >= iv.length:
-            e1.append(
-                Violation("E1", ((r, iv),), f"|I| > r fails: {iv.length} <= {r}")
-            )
+        if r >= length:
+            e1.append(Violation("E1", (entry,), f"|I| > r fails: {length} <= {r}"))
         if r >= k:
-            e1.append(
-                Violation("E1", ((r, iv),), f"k - r > 0 fails with k={k}")
-            )
-        if k - r > n - iv.length:
-            e1.append(
-                Violation(
-                    "E1", ((r, iv),), f"complement too small for k - r = {k - r}"
-                )
-            )
+            e1.append(Violation("E1", (entry,), f"k - r > 0 fails with k={k}"))
+        if k - r > n - length:
+            e1.append(Violation(
+                "E1", (entry,), f"complement too small for k - r = {k - r}"
+            ))
 
     # E2 over nested pairs (x inside y), the full set as an outer interval
     # with the lower bound only (its upper bound is E1's); E3 over ordered
@@ -468,12 +470,15 @@ def permutation_from_family(
     right side is 0 at j = i and intervals of n or more elements read as
     the full set.  The family is valid exactly when that retrieval
     succeeds and the permutation's own family is the given one; otherwise
-    NotValidated carries validate_chess's violations.
+    NotValidated carries validate_chess's violations.  The retrieval is
+    ``retrieve`` without its rank check: a rank the permutation misses
+    would make the two families differ.
     """
     from .diagram import ranked_essential_family  # diagram imports this module
 
     try:
-        perm = retrieve(conditions_from_family(family))
+        ordered = sorted([(r, (start, length)) for start, length, r in family.triples])
+        perm = _dotted(family.n, family.k, ordered)
     except InvalidInput:
         perm = None
     if perm is None or ranked_essential_family(perm) != family:

@@ -63,7 +63,7 @@ def length(p: BoundedAffinePermutation) -> int:
 def codim_from_family(family: RankedEssentialFamily) -> int:
     """Cell codimension as sum of (k - r) times the excess of each entry."""
     values = excess(family).values()
-    return sum([(family.k - r) * e for (r, _), e in zip(family.entries, values)])
+    return sum([(family.k - r) * e for (_, _, r), e in zip(family.triples, values)])
 
 
 @dataclass(frozen=True)
@@ -130,26 +130,39 @@ def bases(
     complement is a linear [c, d], and as |S| = k its cap reads
     |S & [c, d]| >= k - r.  Entries that every k-subset meets
     (r >= min(|J|, k)) give no cap.
-
-    The search decides e = n down to 1, level by level over int masks
-    (bit e - 1 for e).  The states that take e go before those that
-    leave it out, and e is the first decided element a lex comparison
-    meets, so the states stay in lex order.  A state takes e only below
-    k elements, and leaves it out only if the e - 1 elements left can
-    still make up k; then every cap with c = e filters the states.
     """
-    n = p.n
-    TooLarge.check(n, bound)
-    k = p.rank()
+    TooLarge.check(p.n, bound)
+    return _bases(ranked_essential_family(p))
+
+
+def _bases(family: RankedEssentialFamily) -> list[tuple[int, ...]]:
+    """``bases`` off a positroid's own family: ``_basis_masks`` as tuples."""
+    masks = _basis_masks(family)
+    if family.n > 16:  # beyond the two byte tables
+        return [tuple([e + 1 for e in range(family.n) if m >> e & 1]) for m in masks]
+    return [_LOW[m & 255] + _HIGH[m >> 8] for m in masks]
+
+
+def _basis_masks(family: RankedEssentialFamily) -> list[int]:
+    """The bases of ``bases`` as masks (bit e - 1 for e), in lex order.
+
+    The search decides e = n down to 1, level by level.  The states that
+    take e go before those that leave it out, and e is the first decided
+    element a lex comparison meets, so the states stay in lex order.  A
+    state takes e only below k elements, and leaves it out only if the
+    e - 1 elements left can still make up k; then every cap with c = e
+    filters the states.
+    """
+    n, k = family.n, family.k
     full = (1 << n) - 1
     caps: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for r, iv in ranked_essential_family(p).entries:
-        if r >= min(iv.length, k):
+    for (start, length, r), mask in zip(family.triples, family.masks()):
+        if r >= min(length, k):
             continue
-        if iv.end <= n:
-            caps[iv.start].append((iv.mask(), 0, r))
-        else:  # the complement [end - n + 1, start - 1]
-            caps[iv.end - n + 1].append((full ^ iv.mask(), k - r, k))
+        if start + length <= n + 1:
+            caps[start].append((mask, 0, r))
+        else:  # the complement [start + length - n, start - 1]
+            caps[start + length - n].append((full ^ mask, k - r, k))
     states = [0]
     for e in range(n, 0, -1):
         bit = 1 << e - 1
@@ -158,9 +171,7 @@ def bases(
         ]
         for mask, lo, hi in caps[e]:
             states = [m for m in states if lo <= (m & mask).bit_count() <= hi]
-    if n > 16:  # beyond the two byte tables
-        return [tuple([e + 1 for e in range(n) if m >> e & 1]) for m in states]
-    return [_LOW[m & 255] + _HIGH[m >> 8] for m in states]
+    return states
 
 
 def codim1_boundary_count(p: BoundedAffinePermutation) -> int:

@@ -182,34 +182,21 @@ def _min_col_with_dependency(dotting: ProperDotting, h: int, r: int) -> int | No
     return None
 
 
-def retrieve(
-    conditions: RankConditionSet, trace: bool = False
-) -> BoundedAffinePermutation | tuple[BoundedAffinePermutation, RetrievalTrace]:
-    """Run the retrieval algorithm; raises InvalidInput on failure.
+def _fail(log, kind: str, **context):
+    if log is not None:
+        log.emit("error", kind=kind, **context)
+    raise InvalidInput(kind, context, trace=log)
 
-    With trace=True, returns (permutation, trace); InvalidInput raised
-    from a traced run carries the partial trace on its ``trace`` field.
-    Without it no event is built at all.
-    """
-    n = conditions.n
-    log = RetrievalTrace() if trace else None
 
-    def fail(kind: str, **context):
-        if log is not None:
-            log.emit("error", kind=kind, **context)
-        raise InvalidInput(kind, context, trace=log)
-
-    k = conditions.full_label()
-    if k is None:
-        fail(MISSING_FULL_LABEL)
-    top = max((r for r, _ in conditions.conditions), default=0)
+def _dotted(n: int, k: int, ordered: list, log=None) -> BoundedAffinePermutation:
+    """``retrieve``'s dotting on sorted (rank, (row, column)) conditions, with
+    k the full label: NonMaximalLabel, NoProgress, RowOverflow or NotProper,
+    and no rank check."""
+    top = ordered[-1][0]  # the largest label: they are sorted
     if top > k:
-        fail(NON_MAXIMAL_LABEL, full_label=k, max_label=top)
-
+        _fail(log, NON_MAXIMAL_LABEL, full_label=k, max_label=top)
     dotting = ProperDotting(n)
     cols = dotting.cols
-    ordered = sorted(conditions.conditions)  # by label, then row, then column
-
     for r, (i, j) in ordered:
         # the deficit is counted once; dots are never removed, so each
         # new dot lowers it by its own membership in T(i, j) alone
@@ -230,25 +217,42 @@ def retrieve(
                     if col + (h - i) % n <= j:  # d's predicate
                         a -= 1
                         continue
-            fail(NO_PROGRESS, rank=r, row=i, col=j)
+            _fail(log, NO_PROGRESS, rank=r, row=i, col=j)
 
     for h in dotting.undotted_rows():
         col = _min_col_with_dependency(dotting, h, k)
         if col is None:
-            fail(ROW_OVERFLOW, row=h)
+            _fail(log, ROW_OVERFLOW, row=h)
         dotting.place(h, col)
         if log is not None:
             log.emit("row_filled", row=h, col=col)
 
     if not dotting.is_proper():  # the fill dotted every row
-        fail(NOT_PROPER)
+        _fail(log, NOT_PROPER)
     # every column is in [1, n+1], so the window keeps the band, and
     # is_proper is its bijectivity test: no from_window checks are due
-    perm = BoundedAffinePermutation(n, tuple(dotting.window()))
+    return BoundedAffinePermutation(n, tuple(dotting.window()))
+
+
+def retrieve(
+    conditions: RankConditionSet, trace: bool = False
+) -> BoundedAffinePermutation | tuple[BoundedAffinePermutation, RetrievalTrace]:
+    """Run the retrieval algorithm; raises InvalidInput on failure.
+
+    With trace=True, returns (permutation, trace); InvalidInput raised
+    from a traced run carries the partial trace on its ``trace`` field.
+    Without it no event is built at all.
+    """
+    log = RetrievalTrace() if trace else None
+    k = conditions.full_label()
+    if k is None:
+        _fail(log, MISSING_FULL_LABEL)
+    ordered = sorted(conditions.conditions)  # by label, then row, then column
+    perm = _dotted(conditions.n, k, ordered, log)
     for r, (i, j) in ordered:
         got = perm.ranks_from(i)[j]
         if got != r:
-            fail(RANK_MISMATCH, row=i, col=j, expected=r, actual=got)
+            _fail(log, RANK_MISMATCH, row=i, col=j, expected=r, actual=got)
     return (perm, log) if trace else perm
 
 
@@ -265,7 +269,7 @@ def conditions_from_family(family) -> RankConditionSet:
     """Encode a ranked essential family as retrieval input, in the family's
     canonical order: ``retrieve`` sorts the conditions it processes."""
     return RankConditionSet(
-        family.n, tuple([(r, (iv.start, iv.length)) for r, iv in family.entries])
+        family.n, tuple([(r, (start, length)) for start, length, r in family.triples])
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .essential import RankedEssentialFamily, permutation_from_family
-from .geometry import TooLarge, bases
+from .geometry import TooLarge, _basis_masks
 
 
 class NotRank2(ValueError):
@@ -71,17 +71,12 @@ def deficient_flats(
 ) -> DeficientFlatFamily:
     """All deficient flats of the positroid, computed from its bases.
 
-    The bases come from the family's certified permutation, so a family
-    that fails validation raises NotValidated."""
+    The bases are read off the family once the certificate has passed,
+    so a family that fails validation raises NotValidated."""
     n = family.n
     TooLarge.check(n, bound)
-    basis_masks = []
-    for b in bases(permutation_from_family(family), bound=bound):
-        m = 0
-        for e in b:
-            m |= 1 << (e - 1)
-        basis_masks.append(m)
-    rank = _subset_rank_table(n, basis_masks)
+    permutation_from_family(family)  # the certificate
+    rank = _subset_rank_table(n, _basis_masks(family))
     entries = []
     for S in range(1 << n):
         r = rank[S]

@@ -284,13 +284,14 @@ class TestFamilyValidatedOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # the certificate's retrieval is the dotting run of ``retrieve``
         counts = {"retrieve": 0, "validate_chess": 0}
-        for name in counts:
-            def counted(*args, _name=name, _func=getattr(essential, name)):
+        for name, attr in (("retrieve", "_dotted"), ("validate_chess", "validate_chess")):
+            def counted(*args, _name=name, _func=getattr(essential, attr)):
                 counts[_name] += 1
                 return _func(*args)
 
-            monkeypatch.setattr(essential, name, counted)
+            monkeypatch.setattr(essential, attr, counted)
         return counts
 
     @pytest.mark.parametrize(

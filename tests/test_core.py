@@ -289,5 +289,3 @@ def test_enumeration_count_at_scale(n):
 
 def test_json_roundtrip(perm_a):
     assert BoundedAffinePermutation.from_json(perm_a.to_json()) == perm_a
-    iv = CyclicInterval(8, 4, 4)
-    assert CyclicInterval.from_json(8, iv.to_json()) == iv

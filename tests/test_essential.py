@@ -4,6 +4,7 @@ import io
 import random
 import sys
 from itertools import product
+from operator import getitem
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ from positroids.core import (
     CyclicInterval,
     enumerate_permutations,
 )
-from positroids import cli, diagram, essential
+from positroids import cli, diagram, essential, retrieval
 from positroids.essential import (
     NotValidated,
     RankedEssentialFamily,
@@ -95,6 +96,111 @@ class TestFamilyConstruction:
         assert RankedEssentialFamily.from_json(family_a.to_json()) == family_a
 
 
+def sets(*triples):
+    return [{"rank": r, "start": s, "len": l} for r, s, l in triples]
+
+
+def raised(call, *args):
+    """The exception ``call(*args)`` raises, as (type, message)."""
+    with pytest.raises(Exception) as caught:
+        call(*args)
+    return type(caught.value), str(caught.value)
+
+
+class TestParseContract:
+    """Every rejection of ``from_json`` and ``build``: its exception type,
+    its exact message, and which check fires first."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 6, "k": 3, "sets": sets((1, 2, 2), (2, 2, 2))},
+         "duplicate interval CyclicInterval(n=6, start=2, length=2)"),
+        # the full set spelled from two starts is one interval
+        ({"n": 6, "k": 3, "sets": sets((3, 1, 6), (3, 4, 6))},
+         "duplicate interval CyclicInterval(n=6, start=1, length=6)"),
+        ({"n": 6, "k": 3, "sets": sets((-1, 2, 2))}, "negative rank label -1"),
+        ({"n": 6, "k": 3, "sets": sets((1, 0, 2))}, "start 0 outside [1, 6]"),
+        ({"n": 6, "k": 3, "sets": sets((1, 7, 2))}, "start 7 outside [1, 6]"),
+        ({"n": 6, "k": 3, "sets": sets((1, 2, 0))}, "length 0 outside [1, 6]"),
+        ({"n": 6, "k": 3, "sets": sets((1, 2, 7))}, "length 7 outside [1, 6]"),
+        ({"n": 0, "k": 0, "sets": []}, "ground set size must be positive, got 0"),
+        ({"n": -2, "k": 0, "sets": sets((0, 1, 1))},
+         "ground set size must be positive, got -2"),
+        ({"n": 6, "k": 3, "sets": sets((2, 1, 6))}, "full-set rank 2 does not match k=3"),
+        ({"n": 6, "k": 3, "sets": sets((2, 4, 6))}, "full-set rank 2 does not match k=3"),
+        # with no full pair the full pair is made from k
+        ({"n": 6, "k": -1, "sets": sets((0, 2, 2))}, "negative rank label -1"),
+        ({"n": 6.0, "k": 3, "sets": []}, "expected an integer, got 6.0"),
+        ({"n": 6, "k": True, "sets": []}, "expected an integer, got True"),
+        ({"n": 6, "k": 3, "sets": sets((1.5, 2, 2))}, "expected an integer, got 1.5"),
+        ({"n": 6, "k": 3, "sets": sets((1, "2", 2))}, "expected an integer, got '2'"),
+        ({"n": 6, "k": 3, "sets": sets((1, 2, None))}, "expected an integer, got None"),
+        # the first check to fire: a set's fields are read before its
+        # ranges are checked, the sets in document order, then the
+        # entries in canonical order
+        ({"n": 0, "k": 0, "sets": sets((1.5, 9, 9))}, "expected an integer, got 1.5"),
+        ({"n": 6, "k": 3, "sets": sets((1, 0, 0))}, "start 0 outside [1, 6]"),
+        ({"n": 6, "k": 3, "sets": sets((1, 9, 2), (1.5, 2, 2))}, "start 9 outside [1, 6]"),
+        ({"n": 6, "k": 3, "sets": sets((1, 2, 2), (1, 2, 2), (1, 3, 9))},
+         "length 9 outside [1, 6]"),
+        ({"n": 6, "k": 3, "sets": sets((-1, 3, 2), (1, 2, 2), (0, 2, 2))},
+         "duplicate interval CyclicInterval(n=6, start=2, length=2)"),
+        ({"n": 6, "k": 3, "sets": sets((1, 3, 2), (1, 3, 2), (-1, 2, 2))},
+         "negative rank label -1"),
+        ({"n": 6, "k": 3, "sets": sets((-1, 3, 2), (2, 1, 6))},
+         "negative rank label -1"),
+        ({"n": 6, "k": 3, "sets": sets((2, 1, 6), (2, 1, 6))},
+         "duplicate interval CyclicInterval(n=6, start=1, length=6)"),
+    ])
+    def test_value_errors(self, doc, message):
+        assert raised(RankedEssentialFamily.from_json, doc) == (ValueError, message)
+
+    def test_missing_keys(self):
+        for doc, key in [({"k": 3, "sets": []}, "n"), ({"n": 6, "sets": []}, "k"),
+                         ({"n": 6, "k": 3}, "sets"),
+                         ({"n": 6, "k": 3, "sets": [{"start": 1, "len": 2}]}, "rank"),
+                         ({"n": 6, "k": 3, "sets": [{"rank": 1, "len": 2}]}, "start"),
+                         ({"n": 6, "k": 3, "sets": [{"rank": 1, "start": 2}]}, "len")]:
+            assert raised(RankedEssentialFamily.from_json, doc) == (KeyError, repr(key))
+
+    def test_wrong_containers(self):
+        # the same TypeError that indexing or iterating the value raises
+        for doc, same in [
+            ([6, 3], (getitem, [6, 3], "n")),
+            ({"n": 6, "k": 3, "sets": 5}, (iter, 5)),
+            ({"n": 6, "k": 3, "sets": ["x"]}, (getitem, "x", "rank")),
+            ({"n": 6, "k": 3, "sets": [[1, 2, 2]]}, (getitem, [1, 2, 2], "rank")),
+        ]:
+            assert raised(RankedEssentialFamily.from_json, doc) == raised(*same)
+
+    def test_build(self):
+        n, k = 6, 3
+        full = (k, CyclicInterval.full(n))
+        for entries, message in [
+            ([(1, CyclicInterval(6, 2, 2))], "family must contain the full-set pair"),
+            ([(1, CyclicInterval(6, 2, 2)), (2, CyclicInterval(6, 3, 6))],
+             "full-set rank 2 does not match k=3"),
+            ([(1, CyclicInterval(7, 2, 2)), full], "entry ground set does not match family"),
+            ([(-1, CyclicInterval(6, 2, 2)), full], "negative rank label -1"),
+            ([(1, CyclicInterval(6, 2, 2)), (1, CyclicInterval(6, 2, 2)), full],
+             "duplicate interval CyclicInterval(n=6, start=2, length=2)"),
+            # in canonical order: the ground set of [1, 2] before the sign at [2, 2]
+            ([(-1, CyclicInterval(6, 2, 2)), (1, CyclicInterval(7, 1, 2)), full],
+             "entry ground set does not match family"),
+            ([(-1, CyclicInterval(6, 1, 2)), (1, CyclicInterval(7, 2, 2)), full],
+             "negative rank label -1"),
+        ]:
+            assert raised(RankedEssentialFamily.build, n, k, entries) == (ValueError, message)
+
+    def test_cli_message(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            '{"n": 6, "k": 3, "sets": [{"rank": 1, "start": 2, "len": 2},'
+            ' {"rank": 2, "start": 2, "len": 2}]}'))
+        assert cli.main(["validate", "-"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad family: duplicate interval CyclicInterval(n=6, start=2, length=2)\n"
+        )
+
+
 class TestRankFromFamily:
     def test_example_interval(self, perm_a, family_a):
         iv = CyclicInterval(8, 2, 4)
@@ -143,7 +249,7 @@ class TestConnected:
         # garbage in cycles waits for the cyclic collector; a long-running
         # caller should be able to free everything by reference counting
         dense = window_family(DENSE_WINDOW)
-        fresh = [RankedEssentialFamily(dense.n, dense.k, dense.entries) for _ in range(4)]
+        fresh = [RankedEssentialFamily(dense.n, dense.k, dense.triples) for _ in range(4)]
         gc.collect()
         gc.disable()
         try:
@@ -643,6 +749,39 @@ class TestPermutationFromFamily:
         for p in enumerate_permutations(n):
             F = diagram.ranked_essential_family(p)
             assert permutation_from_family(F).window == p.window
+
+    def test_ranks_checked_by_the_comparison_alone(self, family_a):
+        # the extracted family is compared with the given one, so no rank
+        # row of the permutation is built to check the conditions again
+        assert permutation_from_family(family_a)._rows == {}
+        dense = window_family(DENSE_WINDOW)
+        assert permutation_from_family(RankedEssentialFamily.from_json(dense.to_json()))._rows == {}
+
+    @pytest.mark.parametrize("n, k, sets, violations", [
+        # two loops against a rank-1 full set; the smallest of the 15,819
+        # candidates at n <= 4 (every candidate at n <= 3, every family
+        # passing E1 at n = 4) whose retrieval fails at the rank check
+        (2, 1, [(0, 1, 1), (0, 2, 1)], [
+            "E3: disjoint-pair inequality fails [(0,[1,1]), (0,[2,2]), (1,[1,2])]",
+            "E3: disjoint-pair inequality fails [(0,[2,2]), (0,[1,1]), (1,[1,2])]",
+        ]),
+        (3, 1, [(0, 2, 2), (0, 3, 2)], [
+            "E3: overlapping-pair inequality fails [(0,[2,3]), (0,[3,1]), (1,[1,3])]",
+        ]),
+    ])
+    def test_rejected_where_only_the_rank_check_fails(self, n, k, sets, violations):
+        F = family(n, k, sets)
+        with pytest.raises(retrieval.InvalidInput) as failed:
+            retrieval.retrieve(retrieval.conditions_from_family(F))
+        assert failed.value.kind == retrieval.RANK_MISMATCH
+        assert [str(v) for v in certificate_violations(F)] == violations
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_extracted_equals_parsed(self, n):
+        for p in enumerate_permutations(n):
+            F = diagram.ranked_essential_family(p)
+            parsed = RankedEssentialFamily.from_json(F.to_json())
+            assert F == parsed and hash(F) == hash(parsed)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
