@@ -86,7 +86,7 @@ def _annotated_family_json(family, with_excess, with_core, with_connected) -> di
     entries that come in entry order, so nothing is looked up."""
     out = family.to_json()
     if with_excess or with_core:
-        for entry_json, value in zip(out["sets"], essential.excess(family).values()):
+        for entry_json, value in zip(out["sets"], essential.excess(family)):
             if with_excess:
                 entry_json["excess"] = value
             if with_core:  # the core is the entries of positive excess

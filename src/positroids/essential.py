@@ -69,10 +69,10 @@ class RankedEssentialFamily:
     ((1, 4, 2), (1, 8, 3), (4, 4, 2), (5, 2, 1))
 
     It stores one sorted int triple per entry, which is canonical order;
-    equality and the hash read n, k and the triples.  Built on first use
-    are the (rank, CyclicInterval) ``entries`` the API returns and their
-    element masks (``masks``), which ``rank_from_family`` reads; the
-    certificate, which builds a family on every validation, needs neither.
+    equality and the hash read n, k and the triples.  The (rank,
+    CyclicInterval) ``entries`` the API returns are built on first use;
+    every computation here reads the triples, so the certificate, which
+    builds a family on every validation, builds no interval.
     """
 
     n: int
@@ -84,14 +84,6 @@ class RankedEssentialFamily:
         """The (rank, CyclicInterval) pairs, in canonical order."""
         n = self.n
         return tuple([(r, CyclicInterval(n, s, length)) for s, length, r in self.triples])
-
-    @functools.cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple([iv.mask() for _, iv in self.entries])
-
-    def masks(self) -> tuple[int, ...]:
-        """The entries' element masks (``CyclicInterval.mask``)."""
-        return self._masks
 
     @classmethod
     def build(cls, n: int, k: int, entries: Iterable[Entry]) -> "RankedEssentialFamily":
@@ -144,14 +136,18 @@ def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) ->
 
     The rank of [i, j] is the minimum of r + |[i, j] \\ I| over family
     entries (r, I), together with |[i, j]| itself (the empty-set term).
+    On the query's mask doubled onto [0, 2n), each entry is one run of
+    bits from its start: an O(E) scan for E entries, with nothing cached.
     """
     if interval.n != family.n:
         raise ValueError("interval ground set does not match family")
-    imask = interval.mask()
-    best = interval.length
-    for (_, _, r), emask in zip(family.triples, family.masks()):
-        best = min(best, r + (imask & ~emask).bit_count())
-    return best
+    q = interval.mask()
+    q |= q << family.n
+    m = interval.length
+    return min([m] + [
+        r + m - (q & ((1 << length) - 1) << start - 1).bit_count()
+        for start, length, r in family.triples
+    ])
 
 
 def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
@@ -234,15 +230,15 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     return tuple([e for e, connected in zip(family.entries, flags) if connected])
 
 
-def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
+def excess(family: RankedEssentialFamily) -> tuple[int, ...]:
     """Excess of every entry: new dependencies the interval introduces.
 
     For a proper entry I the excess is |I| - r minus the excesses of all
     entries strictly inside I.  For the full set, proper entries can
     overlap and strict-containment summation would double-count, so only
     the inclusion-maximal proper entries are subtracted: those inside no
-    other proper entry.  The dict is built in the family's entry order,
-    so its values can be read alongside the entries.
+    other proper entry.  The values come as a tuple in the family's entry
+    order, aligned with its ``triples`` and ``entries``.
 
     One sweep along the doubled line [0, 2n) computes them.  A proper
     entry is the copy [s, s + |I|) and its copy n on, and every entry
@@ -286,14 +282,13 @@ def excess(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
     values[full] = n - triples[full][2] - sum([
         value for a, value in enumerate(values) if a not in nested
     ])
-    return dict(zip([iv for _, iv in family.entries], values))
+    return tuple(values)
 
 
 def core(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     """Entries with positive excess, in entry order: a minimal set of
     defining rank conditions."""
-    values = excess(family).values()
-    return tuple([e for e, value in zip(family.entries, values) if value > 0])
+    return tuple([e for e, value in zip(family.entries, excess(family)) if value > 0])
 
 
 def validate_chess(family: RankedEssentialFamily) -> list[Violation]:

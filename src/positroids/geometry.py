@@ -62,8 +62,7 @@ def length(p: BoundedAffinePermutation) -> int:
 
 def codim_from_family(family: RankedEssentialFamily) -> int:
     """Cell codimension as sum of (k - r) times the excess of each entry."""
-    values = excess(family).values()
-    return sum([(family.k - r) * e for (_, _, r), e in zip(family.triples, values)])
+    return sum([(family.k - r) * e for (_, _, r), e in zip(family.triples, excess(family))])
 
 
 @dataclass(frozen=True)
@@ -154,15 +153,15 @@ def _basis_masks(family: RankedEssentialFamily) -> list[int]:
     filters the states.
     """
     n, k = family.n, family.k
-    full = (1 << n) - 1
     caps: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for (start, length, r), mask in zip(family.triples, family.masks()):
+    for start, length, r in family.triples:
         if r >= min(length, k):
             continue
         if start + length <= n + 1:
-            caps[start].append((mask, 0, r))
+            caps[start].append((((1 << length) - 1) << start - 1, 0, r))
         else:  # the complement [start + length - n, start - 1]
-            caps[start + length - n].append((full ^ mask, k - r, k))
+            c = start + length - n
+            caps[c].append((((1 << n - length) - 1) << c - 1, k - r, k))
     states = [0]
     for e in range(n, 0, -1):
         bit = 1 << e - 1

@@ -11,10 +11,15 @@ produces a maximal proper dotting, whose rows read off the permutation
 via pi(i) = i + col - 1 and whose permutation meets every condition, or
 fails with a typed InvalidInput.
 
-Success is possible iff some positroid matches every condition exactly
-and its core is contained in the supplied conditions; the output is then
-the rank-maximal such positroid (rank = the label of the square (1, n)).
-verify_conditions re-checks any permutation against a condition set.
+If some positroid meets every condition and its core is among them, the
+run succeeds and returns that positroid, whose interval ranks are then
+pointwise maximal among all positroids meeting the conditions.  The
+converse fails: the window [1, 2, 6] is retrieved from rank{1} = rank{2}
+= 0 and full rank 1 without its core (0, {1, 2}), and the conditions
+rank{1, 2} = rank{3, 1} = 1 and full rank 2, which the window [1, 5, 6]
+alone meets, overflow a row.  Without such a core an output meets every
+condition but need not be pointwise maximal.  verify_conditions
+re-checks any permutation against a condition set.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     n, k = family.n, family.k
     violations: list[Violation] = []
     entries = family.entries
-    masks = family.masks()
+    masks = [iv.mask() for _, iv in entries]  # once per family, read by every pair
 
     # E1
     for r, iv in entries:
@@ -131,26 +131,26 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
             if inter == 0:
                 if x > y:
                     continue  # handle each unordered disjoint pair once, both ways below
-                violations.extend(_check_e3_disjoint(family, e1, e2))
-                violations.extend(_check_e3_disjoint(family, e2, e1))
+                violations.extend(_check_e3_disjoint(family, masks, e1, e2))
+                violations.extend(_check_e3_disjoint(family, masks, e2, e1))
             else:
                 arcs = mask_arcs(n, inter)
                 if len(arcs) > 1:
                     if x < y:
-                        violations.extend(_check_e3_two_arc(family, e1, e2, arcs))
+                        violations.extend(_check_e3_two_arc(family, masks, e1, e2, arcs))
                     continue
                 overlap = arcs[0]
                 if not (e1[1].contains(e2[1].start) and e2[1].contains(residue(e1[1].end, n))):
                     continue  # handled from the orientation where e2 starts inside e1
-                violations.extend(_check_e3_overlap(family, e1, e2, overlap))
+                violations.extend(_check_e3_overlap(family, masks, e1, e2, overlap))
     return violations
 
 
-def _covering_minimal(family: RankedEssentialFamily, arc: CyclicInterval) -> list[Entry]:
+def _covering_minimal(
+    family: RankedEssentialFamily, masks: list[int], arc: CyclicInterval
+) -> list[Entry]:
     amask = arc.mask()
-    covering = [
-        (e, m) for e, m in zip(family.entries, family.masks()) if amask & ~m == 0
-    ]
+    covering = [(e, m) for e, m in zip(family.entries, masks) if amask & ~m == 0]
     return [
         e
         for e, m in covering
@@ -159,14 +159,12 @@ def _covering_minimal(family: RankedEssentialFamily, arc: CyclicInterval) -> lis
 
 
 def _contained_maximal(
-    family: RankedEssentialFamily, region: CyclicInterval | None
+    family: RankedEssentialFamily, masks: list[int], region: CyclicInterval | None
 ) -> list[tuple[int, CyclicInterval | None]]:
     if region is None:
         return [(0, None)]
     rmask = region.mask()
-    inside = [
-        (e, m) for e, m in zip(family.entries, family.masks()) if m & ~rmask == 0
-    ]
+    inside = [(e, m) for e, m in zip(family.entries, masks) if m & ~rmask == 0]
     maximal = [
         e for e, m in inside if not any(m2 != m and m & ~m2 == 0 for _, m2 in inside)
     ]
@@ -182,19 +180,19 @@ def _uncovered(region: CyclicInterval | None, sub: CyclicInterval | None) -> int
 
 
 def _check_e3_disjoint(
-    family: RankedEssentialFamily, e1: Entry, e2: Entry
+    family: RankedEssentialFamily, masks: list[int], e1: Entry, e2: Entry
 ) -> list[Violation]:
     """Case of disjoint intervals, oriented e1 then gap then e2."""
     n = family.n
     (r1, iv1), (r2, iv2) = e1, e2
     arc = CyclicInterval.from_endpoints(n, iv1.start, iv2.end)
     gap = _gap_between(n, iv1, iv2)
-    covers = _covering_minimal(family, arc)
+    covers = _covering_minimal(family, masks, arc)
     if not covers:
         return [Violation("E3-cover", (e1, e2), f"no entry contains the arc {arc}")]
     out = []
     for r3, iv3 in covers:
-        for r4, iv4 in _contained_maximal(family, gap):
+        for r4, iv4 in _contained_maximal(family, masks, gap):
             if r1 + r2 < r3 - r4 - _uncovered(gap, iv4):
                 out.append(
                     Violation(
@@ -206,7 +204,8 @@ def _check_e3_disjoint(
 
 
 def _check_e3_two_arc(
-    family: RankedEssentialFamily, e1: Entry, e2: Entry, arcs: list[CyclicInterval]
+    family: RankedEssentialFamily, masks: list[int], e1: Entry, e2: Entry,
+    arcs: list[CyclicInterval],
 ) -> list[Violation]:
     """Pair intersecting in two arcs: the union is the whole circle and
     the intersection rank implied by submodularity must not undercut the
@@ -215,7 +214,7 @@ def _check_e3_two_arc(
     (r1, _), (r2, _) = e1, e2
     term = r1 + r2 - k
     estimate = sum(
-        min(r + _uncovered(arc, iv) for r, iv in _contained_maximal(family, arc))
+        min(r + _uncovered(arc, iv) for r, iv in _contained_maximal(family, masks, arc))
         for arc in arcs
     )
     implied = min(term, estimate)
@@ -225,20 +224,21 @@ def _check_e3_two_arc(
 
 
 def _check_e3_overlap(
-    family: RankedEssentialFamily, e1: Entry, e2: Entry, overlap: CyclicInterval
+    family: RankedEssentialFamily, masks: list[int], e1: Entry, e2: Entry,
+    overlap: CyclicInterval,
 ) -> list[Violation]:
     """Case of one-sided overlap: e2 starts inside e1 and ends outside."""
     n = family.n
     (r1, iv1), (r2, iv2) = e1, e2
     union_arc = CyclicInterval.from_endpoints(n, iv1.start, iv2.end)
-    covers = _covering_minimal(family, union_arc)
+    covers = _covering_minimal(family, masks, union_arc)
     if not covers:
         return [
             Violation("E3-cover", (e1, e2), f"no entry contains the arc {union_arc}")
         ]
     out = []
     for r3, iv3 in covers:
-        for r4, iv4 in _contained_maximal(family, overlap):
+        for r4, iv4 in _contained_maximal(family, masks, overlap):
             if r1 + r2 < r3 + r4 + _uncovered(overlap, iv4):
                 out.append(
                     Violation(

@@ -15,8 +15,11 @@ when every call behaves byte for byte the same.  The corpus:
   entry dropped or added;
 - malformed documents.
 
-It makes about 33,000 calls in some ten seconds.  pytest imports this
-module to collect its doctests, so everything runs under ``__main__``.
+It makes about 33,000 calls in some ten seconds.  ``main`` returns the
+hash and the number of calls, which the slow test
+``test_cli.py::TestDeterminism::test_corpus_hash`` pins.  pytest imports
+this module to collect its doctests, so everything runs under
+``__main__`` or ``main``.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def spoiled(doc, rng: random.Random):
     return {"n": n, "k": doc["k"], "sets": sets}
 
 
-def main() -> None:
+def main() -> tuple[str, int]:
     from positroids import cli, diagram, retrieval
     from positroids.core import BoundedAffinePermutation, enumerate_windows
 
@@ -168,9 +171,9 @@ def main() -> None:
         for argv in FAMILY_COMMANDS:
             corpus.run(argv, doc)
         corpus.run(["rank", "-", "--interval", "1,2", "--both"], doc)
-    print(corpus.digest.hexdigest(), corpus.calls)
+    return corpus.digest.hexdigest(), corpus.calls
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    main()
+    print(*main())

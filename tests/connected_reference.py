@@ -105,7 +105,7 @@ def connected_by_sweeps(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     """
     n = family.n
     entries = family.entries
-    masks = family.masks()
+    masks = [iv.mask() for _, iv in entries]
     inside = [  # for each entry, the others inside it
         [b for b, mb in enumerate(masks) if b != a and not mb & ~ma]
         for a, ma in enumerate(masks)
@@ -164,9 +164,10 @@ def connected_by_sweeps(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     return tuple([e for e, connected in zip(entries, flags) if connected])
 
 
-def excess_by_rescan(family: RankedEssentialFamily) -> dict[CyclicInterval, int]:
+def excess_by_rescan(family: RankedEssentialFamily) -> tuple[int, ...]:
     """|I| - r minus the excesses of the entries strictly inside I; for
-    the full set, minus those of the inclusion-maximal proper entries."""
+    the full set, minus those of the inclusion-maximal proper entries.
+    In the family's entry order, as ``essential.excess`` gives them."""
     masks = {iv: iv.mask() for _, iv in family.entries}
     proper = [iv for _, iv in family.entries if not iv.is_full]
     table: dict[CyclicInterval, int] = {}
@@ -182,7 +183,7 @@ def excess_by_rescan(family: RankedEssentialFamily) -> dict[CyclicInterval, int]
                 if jv != iv and masks[jv] & ~masks[iv] == 0
             ]
         table[iv] = iv.length - r - sum(table[jv] for jv in inside)
-    return table
+    return tuple([table[iv] for _, iv in family.entries])
 
 
 def _least_rank(

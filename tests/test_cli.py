@@ -19,6 +19,7 @@ from positroids import cli, diagram, essential, geometry, realize
 from positroids.cli import main
 from positroids.core import BoundedAffinePermutation
 
+import cli_corpus
 from enumeration_reference import count_permutations, windows_by_recursion
 from test_core import windows
 
@@ -332,6 +333,28 @@ class TestFamilyValidatedOnce:
         assert calls == {"retrieve": 1, "validate_chess": 1}
 
 
+class TestFamilyReadFromTriples:
+    """The family commands read the parsed family's triples and build
+    none of its CyclicInterval entries."""
+
+    @pytest.mark.parametrize(
+        "argv", [["codim", "--both"], ["rank", "--interval", "7,4", "--both"], ["bases"]]
+    )
+    def test_no_entries_built(self, write_json, capsys, monkeypatch, argv):
+        parsed = []
+        from_json = essential.RankedEssentialFamily.from_json
+
+        def recorded(cls, obj):
+            parsed.append(from_json(obj))
+            return parsed[-1]
+
+        monkeypatch.setattr(essential.RankedEssentialFamily, "from_json", classmethod(recorded))
+        path = write_json("f.json", FAMILY_A)
+        code, _, _ = run([argv[0], path, *argv[1:]], capsys)
+        assert code == 0 and len(parsed) == 1
+        assert "entries" not in parsed[0].__dict__
+
+
 class TestRoutesDisagree:
     """A --both disagreement exits 4 with the two values on stderr."""
 
@@ -518,6 +541,14 @@ class TestDeterminism:
             _, out, _ = run(["essentials", path, "--excess"], capsys)
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.slow
+    def test_corpus_hash(self):
+        # every call of the corpus, byte for byte: any change to an output,
+        # an exception or an exit code moves the hash
+        assert cli_corpus.main() == (
+            "6448ae4ce889d21b081f3d95070cf4a8d69d6c05a0013a4efef2ae30b0d2d02f", 32_660
+        )
 
 
 def test_input_file_is_closed(write_json, capsys):

@@ -15,7 +15,7 @@ from positroids.core import (
     CyclicInterval,
     enumerate_permutations,
 )
-from positroids import cli, diagram, essential, retrieval
+from positroids import cli, diagram, essential, geometry, retrieval
 from positroids.essential import (
     NotValidated,
     RankedEssentialFamily,
@@ -94,6 +94,18 @@ class TestFamilyConstruction:
 
     def test_json_roundtrip(self, family_a):
         assert RankedEssentialFamily.from_json(family_a.to_json()) == family_a
+
+    @pytest.mark.parametrize("compute", [
+        excess,
+        geometry.codim_from_family,
+        lambda F: rank_from_family(F, CyclicInterval(F.n, 7, 4)),
+        geometry._basis_masks,
+    ], ids=["excess", "codim_from_family", "rank_from_family", "_basis_masks"])
+    def test_computations_read_the_triples(self, family_a, compute):
+        # a fresh family: its CyclicInterval entries stay unbuilt
+        F = RankedEssentialFamily.from_json(family_a.to_json())
+        compute(F)
+        assert "entries" not in F.__dict__
 
 
 def sets(*triples):
@@ -255,7 +267,7 @@ class TestConnected:
         try:
             connected_entries(family_a)
             assert gc.collect() == 0
-            # each on a family of its own, so each builds its masks itself
+            # each on a family of its own, so each starts with nothing cached
             computations = (validate_chess, connected_entries, excess, core)
             for compute, F in zip(computations, fresh):
                 compute(F)
@@ -266,7 +278,8 @@ class TestConnected:
 
 class TestExcessAndCore:
     def test_example_excess(self, family_a):
-        table = {(iv.start, iv.length): e for iv, e in excess(family_a).items()}
+        values = zip(family_a.entries, excess(family_a))
+        table = {(iv.start, iv.length): e for (_, iv), e in values}
         assert table[(5, 2)] == 1
         assert table[(1, 4)] == 2
         assert table[(4, 4)] == 1
@@ -276,7 +289,7 @@ class TestExcessAndCore:
 
     def test_parallel_connection_every_excess_one(self, bonin_perm):
         F = diagram.ranked_essential_family(bonin_perm)
-        assert set(excess(F).values()) == {1}
+        assert excess(F) == (1,) * len(F.entries)
         assert core(F) == F.entries
 
     def test_remark_core_drops_middle_entry(self):
@@ -287,7 +300,7 @@ class TestExcessAndCore:
         # nullity of each proper entry splits into the excesses inside it
         for p in enumerate_permutations(n):
             F = diagram.ranked_essential_family(p)
-            table = excess(F)
+            table = {iv: e for (_, iv), e in zip(F.entries, excess(F))}
             masks = {iv: iv.mask() for _, iv in F.entries}
             for r, iv in F.entries:
                 if iv.is_full:
@@ -624,8 +637,7 @@ class TestRankFunctionFromAxioms:
 
 
 def reference_core(F):
-    table = excess_by_rescan(F)
-    return {e for e in F.entries if table[e[1]] > 0}
+    return {e for e, value in zip(F.entries, excess_by_rescan(F)) if value > 0}
 
 
 def assert_matches_references(F):
@@ -641,7 +653,7 @@ def assert_matches_oracle(F):
     assert {(r, iv.start, iv.length) for r, iv in connected_entries(F)} == (
         oracle.connected(n, entries)
     )
-    assert {(iv.start, iv.length): e for iv, e in excess(F).items()} == table
+    assert {(iv.start, iv.length): e for (_, iv), e in zip(F.entries, excess(F))} == table
     assert {(r, iv.start, iv.length) for r, iv in core(F)} == {
         (r, s, l) for r, s, l in entries if table[(s, l)] > 0
     }
@@ -726,7 +738,7 @@ class TestAgainstReferences:
         F = family(3, 3, [])
         permutation_from_family(F)  # valid
         assert connected_entries(F) == F.entries
-        assert excess(F) == {CyclicInterval.full(3): 0}
+        assert list(zip(F.entries, excess(F))) == [((3, CyclicInterval.full(3)), 0)]
         assert core(F) == ()
         assert_matches_references(F)
 

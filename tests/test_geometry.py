@@ -103,7 +103,7 @@ class TestCodimFromFamily:
     def test_core_entries_carry_the_sum(self, n):
         for p in enumerate_permutations(n):
             F = diagram.ranked_essential_family(p)
-            table = essential.excess(F)
+            table = {iv: e for (_, iv), e in zip(F.entries, essential.excess(F))}
             full = sum((F.k - r) * table[iv] for r, iv in F.entries)
             over_core = sum((F.k - r) * table[iv] for r, iv in essential.core(F))
             assert full == over_core

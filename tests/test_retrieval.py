@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import ge
 
 import pytest
 
@@ -348,6 +349,111 @@ class TestVerifyConditions:
                     rest.append((F.k, CyclicInterval.full(n)))
                 conditions = RankConditionSet.from_intervals(n, rest)
                 assert retrieve(conditions).window == p.window
+
+
+class Positroids:
+    """Every positroid on [n], with its rank on each square of the array
+    and its core conditions; ``having[s, r]`` is the bitset of those of
+    rank r on square s."""
+
+    def __init__(self, n):
+        self.n = n
+        self.perms = list(enumerate_permutations(n))
+        self.squares = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        self.full = self.squares.index((1, n))
+        self.tables = [
+            tuple([p.ranks_from(i)[j] for i, j in self.squares]) for p in self.perms
+        ]
+        self.cores = [
+            set(core_conditions(diagram.ranked_essential_family(p)).conditions)
+            for p in self.perms
+        ]
+        self.having = {}
+        for b, table in enumerate(self.tables):
+            for s, r in enumerate(table):
+                self.having[s, r] = self.having.get((s, r), 0) | 1 << b
+
+    def check(self, b, chosen):
+        """Check the contract on the conditions that positroid b meets on
+        the squares indexed by ``chosen`` and on the full square.  Returns
+        whether retrieval succeeded, whether the core of a positroid
+        meeting them lies among them, and whether the output's ranks are
+        pointwise maximal among those positroids."""
+        table = self.tables[b]
+        indices = set(chosen) | {self.full}
+        conditions = {(table[s], self.squares[s]) for s in indices}
+        meeting = -1
+        for s in indices:
+            meeting &= self.having[s, table[s]]
+        members = [q for q in range(len(self.perms)) if meeting >> q & 1]
+        inside = [q for q in members if self.cores[q] <= conditions]
+        try:
+            out = retrieve(RankConditionSet(self.n, tuple(sorted(conditions))))
+        except InvalidInput:
+            assert not inside, (b, conditions)
+            return False, False, False
+        top = [out.ranks_from(i)[j] for i, j in self.squares]
+        maximal = all([all(map(ge, top, self.tables[m])) for m in members])
+        if inside:
+            (q,) = inside  # a core pins its positroid among those meeting it
+            assert out.window == self.perms[q].window and maximal, (b, conditions)
+        return True, bool(inside), maximal
+
+
+class TestContract:
+    """If some positroid meeting every condition has its core among them,
+    ``retrieve`` succeeds and returns that positroid, and its interval
+    ranks are pointwise maximal among all positroids meeting the
+    conditions.  The converse fails, and so does maximality without a
+    core among the conditions."""
+
+    @pytest.mark.parametrize("n, sets, coreless", [(1, 2, 0), (2, 40, 0), (3, 4096, 96)])
+    def test_exhaustive(self, n, sets, coreless):
+        # every positroid with every subset of the other squares
+        positroids = Positroids(n)
+        others = [s for s in range(n * n) if s != positroids.full]
+        outcomes = [
+            positroids.check(b, [s for a, s in enumerate(others) if subset >> a & 1])
+            for b in range(len(positroids.perms))
+            for subset in range(1 << len(others))
+        ]
+        assert len(outcomes) == sets
+        assert sum([ok and not inside for ok, inside, _ in outcomes]) == coreless
+
+    def test_sampled_at_four(self):
+        positroids = Positroids(4)
+        rng = random.Random(4)
+        outcomes = [
+            positroids.check(
+                rng.randrange(len(positroids.perms)),
+                [s for s in range(16) if rng.random() < 0.5],
+            )
+            for _ in range(2600)
+        ]
+        assert sum([inside for _, inside, _ in outcomes]) > 1000
+        coreless = [maximal for ok, inside, maximal in outcomes if ok and not inside]
+        # with no core among the conditions the output can fall below
+        # another positroid that meets them, so maximality is not claimed
+        assert len(coreless) > 50 and not all(coreless)
+
+    def test_success_without_the_core(self):
+        # window [1, 2, 6]: rank{1} = rank{2} = 0 and full rank 1; its
+        # core (0, {1, 2}) is implied but not among the conditions
+        C = RankConditionSet(3, ((0, (1, 1)), (0, (2, 1)), (1, (1, 3))))
+        assert retrieve(C).window == (1, 2, 6)
+        F = diagram.ranked_essential_family(BoundedAffinePermutation.from_window([1, 2, 6]))
+        assert core_conditions(F).conditions == ((0, (1, 2)), (1, (1, 3)))
+
+    def test_failure_on_a_pinned_positroid(self):
+        # window [1, 5, 6] alone meets rank{1, 2} = 1, rank{3, 1} = 1 and
+        # full rank 2, yet retrieval overflows a row
+        C = RankConditionSet(3, ((1, (1, 2)), (1, (3, 2)), (2, (1, 3))))
+        assert [p.window for p in enumerate_permutations(3) if verify_conditions(p, C)] == [
+            (1, 5, 6)
+        ]
+        with pytest.raises(InvalidInput) as exc:
+            retrieve(C)
+        assert exc.value.kind == "RowOverflow"
 
 
 def test_condition_set_json_roundtrip():
