@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable
 
 from .core import (
@@ -306,18 +308,30 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
         their union arc and the maximal entries inside the gap or the
         overlap; a pair meeting in two arcs must leave each arc its rank.
 
-    Each pair is classified by the offsets of its starts: y lies inside
-    a proper x exactly when (s_y - s_x) mod n + |y| <= |x|, which gives
-    E2's nested pairs.  Each E3 pair reads its union, gap and overlap
-    from a per-arc index built within the call: for each arc asked
-    about, the minimal entries covering it and the sorted bounds its
-    maximal contents put on its rank, each found by a walk over the
-    positions before or along the arc.  So the checker is O(E^2) for the
-    pairs plus O(n) bisections for each of the A <= min(E^2, n^2) distinct
-    arcs, plus the size of its output.  A pair whose bounds cannot fail
-    skips its covering entries, and an arc's rank (an O(E) scan) is taken
-    only when its contents' bounds leave room for a failure.  All
-    violations are reported, not just the first.
+    Each unordered pair is read once and classified by the offsets of
+    its starts: y lies inside a proper x exactly when
+    (s_y - s_x) mod n + |y| <= |x|, which gives E2's nested pairs.  Its
+    violations carry the ordered pair they belong to and are sorted back
+    into ordered-pair order at the end.  Each E3 pair is first bounded by
+    lengths alone, from three tables built in O(n + E): the top rank of
+    the entries of length L or more, and the largest and smallest nullity
+    |I| - r of the proper entries of length L or less, 0 among them.
+    Every entry covering the union is at least as long as it; every bound
+    from the gap or the overlap is r_m + |arc| - |m| with |m| <= |arc|,
+    and an arc with nothing inside is bounded by its size.  A two-arc
+    pair whose r_x + r_y - k meets the largest bound the longer arc
+    allows implies no rank below either arc's bounds, all of which are
+    at least 0.  So a pair skipped by length has no violation.  The rest
+    read their union, gap and overlap from a per-arc index built within
+    the call: for each arc asked about, the minimal entries covering it
+    and the sorted bounds its maximal contents put on its rank, each
+    found by a walk over the positions before or along the arc.  So the
+    checker is O(E^2) for the pairs plus O(n) bisections for each of the
+    A <= min(E^2, n^2) distinct arcs, plus the size of its output.  A
+    pair whose bounds cannot fail skips its covering entries, and an
+    arc's rank (an O(E) scan) is taken only when its contents' bounds
+    leave room for a failure.  All violations are reported, not just the
+    first.
     """
     n, k = family.n, family.k
     e1: list[Violation] = []
@@ -331,13 +345,23 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
     for a in proper:
         starting[starts[a]].append(a)
     sizes = [[lengths[a] for a in group] for group in starting]
+    # by length: the top rank of the entries of length L or more, and the
+    # extreme nullities of the proper entries of length L or less, 0 among them
+    top_from, most_null, least_null = [0] * (n + 1), [0] * n, [0] * n
+    for length, r in zip(lengths, ranks):
+        top_from[length] = max(top_from[length], r)
+        if length < n:
+            most_null[length] = max(most_null[length], length - r)
+            least_null[length] = min(least_null[length], length - r)
+    top_from = list(accumulate(top_from[::-1], max))[::-1]
+    most_null, least_null = list(accumulate(most_null, max)), list(accumulate(least_null, min))
 
     @functools.cache
     def covers(start: int, length: int) -> tuple[list[int], int]:
-        """Minimal entries holding the arc, in index order, and their top
-        rank.  From each position before the arc, the shortest entry
-        reaching its end is minimal if it ends before those from nearer."""
-        found, end = [], n  # end: where the last one found ends, from start
+        """Minimal entries holding the arc, unsorted, and their top rank.
+        From each position before the arc, the shortest entry reaching
+        its end is minimal if it ends before those from nearer."""
+        found, top, end = [], 0, n  # end: where the last one found ends, from start
         for d in range(n - length):
             if end == length:
                 break  # nothing from further back ends earlier
@@ -345,9 +369,9 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
             i = bisect_left(sizes[at], d + length)
             if i < len(sizes[at]) and sizes[at][i] - d < end:
                 end = sizes[at][i] - d
-                found.append(starting[at][i])
-        found = sorted(found) or [full]
-        return found, max([ranks[c] for c in found])
+                found.append(c := starting[at][i])
+                top = max(top, ranks[c])
+        return (found, top) if found else ([full], ranks[full])
 
     @functools.cache
     def contents(start: int, length: int) -> list[int]:
@@ -385,74 +409,83 @@ def validate_chess(family: RankedEssentialFamily) -> list[Violation]:
                 "E1", (entry,), f"complement too small for k - r = {k - r}"
             ))
 
-    # E2 over nested pairs (x inside y), the full set as an outer interval
-    # with the lower bound only (its upper bound is E1's); E3 over ordered
-    # pairs of proper entries nested neither way
-    e2: list[Violation] = []
-    e3: list[Violation] = []
-    for x in proper:
+    # E2 over nested pairs (a inside b), the full set as an outer interval
+    # with the lower bound only (its upper bound is E1's); E3 over pairs of
+    # proper entries nested neither way.  Each violation is kept with its
+    # ordered pair, by which the output is sorted.
+    e2: list[tuple[int, int, Violation]] = []
+    e3: list[tuple[int, int, Violation]] = []
+    for i, x in enumerate(proper):
         sx, lx = starts[x], lengths[x]
-        for y in range(len(entries)):
+        for y in proper[i + 1:] + [full]:
             sy, ly = starts[y], lengths[y]
             ox, oy = (sy - sx) % n, (sx - sy) % n  # where each starts from the other
-            if ox + ly <= lx:
-                continue  # y is x or inside it
-            if ly == n or oy + lx <= ly:
-                (r1, _), (r2, _) = pair = entries[x], entries[y]
+            if ox + ly <= lx or ly == n or oy + lx <= ly:
+                a, b = (y, x) if ox + ly <= lx else (x, y)  # a inside b
+                r1, r2 = ranks[a], ranks[b]
                 if r2 - r1 <= 0:
-                    e2.append(Violation(
-                        "E2", pair, f"nested ranks not strictly increasing: {r1} -> {r2}"
-                    ))
-                if ly < n and r2 - r1 >= ly - lx:
-                    e2.append(Violation(
-                        "E2", pair, "rank increase not below size difference"
-                    ))
-                continue
-            if ox >= lx and oy >= ly:
-                if x > y:
-                    continue  # each unordered disjoint pair once, both ways
+                    e2.append((a, b, Violation(
+                        "E2", (entries[a], entries[b]),
+                        f"nested ranks not strictly increasing: {r1} -> {r2}",
+                    )))
+                if b != full and r2 - r1 >= lengths[b] - lengths[a]:
+                    e2.append((a, b, Violation(
+                        "E2", (entries[a], entries[b]),
+                        "rank increase not below size difference",
+                    )))
+            elif ox >= lx and oy >= ly:
                 for p, q, offset in ((x, y, ox), (y, x, oy)):  # p, the gap, then q
-                    gap = contents((starts[p] + lengths[p]) % n, offset - lengths[p])
+                    room, between = ranks[p] + ranks[q], offset - lengths[p]
+                    if top_from[offset + lengths[q]] - room <= between - most_null[between]:
+                        continue  # no bound fails, by length alone
+                    gap = contents((starts[p] + lengths[p]) % n, between)
                     cover, top = covers(starts[p], offset + lengths[q])
-                    if top - ranks[p] - ranks[q] <= gap[0]:
+                    if top - room <= gap[0]:
                         continue  # no bound fails
-                    for c in cover:
+                    for c in sorted(cover):
                         # the bounds below rank c - rank p - rank q fail
-                        failing = bisect_left(gap, ranks[c] - ranks[p] - ranks[q])
+                        failing = bisect_left(gap, ranks[c] - room)
                         if failing:
-                            e3 += [Violation(
+                            e3 += [(x, y, Violation(
                                 "E3", (entries[p], entries[q], entries[c]),
                                 "disjoint-pair inequality fails",
-                            )] * failing
+                            ))] * failing
             elif ox < lx and oy < ly:
                 # the union is the whole circle: the intersection rank
                 # implied by submodularity must not undercut either arc's
-                if x < y:
-                    arcs = ((sx, ly - oy), (sy, lx - ox))
-                    bounds = [contents(*arc)[0] for arc in arcs]
-                    implied = min(ranks[x] + ranks[y] - k, sum(bounds))
-                    if any(  # an arc's rank never exceeds its lowest bound
-                        implied < bound and implied < arc_rank(*arc)
-                        for arc, bound in zip(arcs, bounds)
-                    ):
-                        e3.append(Violation(
-                            "E3", (entries[x], entries[y]),
-                            "two-arc intersection rank inconsistent",
-                        ))
-            elif ox < lx:  # y starts inside x and ends past it; else (y, x) does
-                overlap, room = contents(sy, lx - ox), ranks[x] + ranks[y]
-                cover, top = covers(sx, ox + ly)
+                longer = max(ly - oy, lx - ox)
+                if ranks[x] + ranks[y] - k >= longer - least_null[longer]:
+                    continue  # it meets every bound, by length alone
+                arcs = ((sx, ly - oy), (sy, lx - ox))
+                bounds = [contents(*arc)[0] for arc in arcs]
+                implied = min(ranks[x] + ranks[y] - k, sum(bounds))
+                if any(  # an arc's rank never exceeds its lowest bound
+                    implied < bound and implied < arc_rank(*arc)
+                    for arc, bound in zip(arcs, bounds)
+                ):
+                    e3.append((x, y, Violation(
+                        "E3", (entries[x], entries[y]),
+                        "two-arc intersection rank inconsistent",
+                    )))
+            else:  # q starts inside p and ends past it
+                p, q, offset = (x, y, ox) if ox < lx else (y, x, oy)
+                room, shared = ranks[x] + ranks[y], lengths[p] - offset
+                if top_from[offset + lengths[q]] <= room - shared + least_null[shared]:
+                    continue  # no bound fails, by length alone
+                overlap = contents(starts[q], shared)
+                cover, top = covers(starts[p], offset + lengths[q])
                 if top <= room - overlap[-1]:
                     continue  # no bound fails
-                for c in cover:
+                for c in sorted(cover):
                     # the bounds above rank x + rank y - rank c fail
                     failing = len(overlap) - bisect_right(overlap, room - ranks[c])
                     if failing:
-                        e3 += [Violation(
-                            "E3", (entries[x], entries[y], entries[c]),
+                        e3 += [(p, q, Violation(
+                            "E3", (entries[p], entries[q], entries[c]),
                             "overlapping-pair inequality fails",
-                        )] * failing
-    return e1 + e2 + e3
+                        ))] * failing
+    by_pair = itemgetter(0, 1)
+    return e1 + [v for *_, v in sorted(e2, key=by_pair)] + [v for *_, v in sorted(e3, key=by_pair)]
 
 
 def permutation_from_family(

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from positroids import geometry
 from positroids.core import (
     BoundedAffinePermutation,
     BoundViolation,
@@ -15,6 +16,7 @@ from positroids.core import (
 )
 
 from chess_reference import mask_arcs
+from duality import dual
 from enumeration_reference import count_permutations, windows_by_recursion
 
 
@@ -289,3 +291,21 @@ def test_enumeration_count_at_scale(n):
 
 def test_json_roundtrip(perm_a):
     assert BoundedAffinePermutation.from_json(perm_a.to_json()) == perm_a
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dual_ranks_are_complementary(n):
+    # the dual read through its own rank rows against the complements'
+    # ranks in the permutation's: rank*(S) = |S| - k + rank(S^c) on every
+    # cyclic interval S, the empty set and the full set included
+    for window in enumerate_windows(n):
+        p = BoundedAffinePermutation(n, window)
+        k, d = p.rank(), dual(p)
+        assert d.rank() == n - k
+        assert dual(d) == p
+        assert geometry.length(d) == geometry.length(p)
+        for start in range(1, n + 1):
+            row = d.ranks_from(start)
+            for length in range(n + 1):
+                rest = p.ranks_from(residue(start + length, n))[n - length]
+                assert row[length] == length - k + rest
