@@ -30,6 +30,7 @@ from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
     enumerate_windows,
+    json_array,
     json_int,
 )
 
@@ -242,8 +243,9 @@ def _cmd_rank2(args) -> int:
     obj = _read_json(args.input)
     try:
         n = json_int(obj["n"])
-        classes = [[json_int(e) for e in cls] for cls in obj["classes"]]
-        loops = [json_int(e) for e in obj.get("loops", [])]
+        classes = [[json_int(e) for e in json_array(cls)]
+                   for cls in json_array(obj["classes"])]
+        loops = [json_int(e) for e in json_array(obj.get("loops", []))]
         verdict = smallrank.is_positroid_rank2(n, classes, loops)
     except (smallrank.NotRank2, smallrank.HasLoop) as e:
         print(f"error: {e}", file=sys.stderr)

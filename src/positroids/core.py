@@ -51,6 +51,13 @@ def json_int(value) -> int:
     return value.__index__()
 
 
+def json_array(value):
+    """An array read from parsed JSON: a string or an object is refused, not iterated."""
+    if isinstance(value, (str, dict)):
+        raise ValueError(f"expected an array, got {value!r}")
+    return value
+
+
 def interval_start(n: int, start: int, length: int) -> int:
     """The start of the cyclic interval (start, length) on [n], once its
     ranges are checked: 1 for the full set, whatever its start."""
@@ -233,7 +240,7 @@ class BoundedAffinePermutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundedAffinePermutation":
-        window = obj["window"]
+        window = json_array(obj["window"])
         if "n" in obj and json_int(obj["n"]) != len(window):
             raise ValueError("declared n does not match window length")
         return cls.from_window(window)

@@ -26,6 +26,7 @@ from .core import (
     BoundedAffinePermutation,
     CyclicInterval,
     interval_start,
+    json_array,
     json_int,
     residue,
 )
@@ -124,7 +125,7 @@ class RankedEssentialFamily:
     def from_json(cls, obj: dict) -> "RankedEssentialFamily":
         n, k = json_int(obj["n"]), json_int(obj["k"])
         triples = []
-        for s in obj["sets"]:
+        for s in json_array(obj["sets"]):
             r = json_int(s["rank"])
             start, length = json_int(s["start"]), json_int(s["len"])
             triples.append((interval_start(n, start, length), length, r))

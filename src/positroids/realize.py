@@ -3,8 +3,8 @@ Exact-rational realization oracle: from a matrix over Q to its
 positivity verdict and the bounded affine permutation of its positroid.
 
 Everything here is exact: columns are scaled to integers and one
-fraction-free elimination gives ranks, spans and the signs of minors;
-sign-of-minor decisions are the whole point, so no floating point
+fraction-free elimination, run from each column in turn, gives the
+Grassmann necklace and the signs of minors; so no floating point
 appears anywhere in this module.
 """
 
@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .core import BoundedAffinePermutation, json_int
+from .core import BoundedAffinePermutation, json_array, json_int
 from .geometry import BASES_BOUND, TooLarge
 
 
@@ -70,7 +70,8 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
-        entries = tuple(tuple(_entry(str(x)) for x in row) for row in obj["entries"])
+        rows = json_array(obj["entries"])
+        entries = tuple(tuple(_entry(str(x)) for x in json_array(row)) for row in rows)
         return cls(json_int(obj["k"]), json_int(obj["n"]), entries)
 
 
@@ -126,13 +127,6 @@ def _eliminate(vectors: Iterable[list[int]]) -> Iterator[tuple[int, int] | None]
         yield piv, sign if vec[piv] > 0 else -sign
 
 
-def _full_rank_columns(matrix: RationalMatrix) -> list[list[int]]:
-    cols = _integer_columns(matrix)
-    if sum(step is not None for step in _eliminate(cols)) < matrix.k:
-        raise NotFullRank("matrix does not have full row rank")
-    return cols
-
-
 def _minor_sign(cols: list[list[int]], subset: tuple[int, ...]) -> int:
     """Sign (-1, 0 or 1) of the maximal minor on the columns in subset."""
     pivots, sign = [], 1
@@ -157,35 +151,32 @@ def is_positively_realizing(matrix: RationalMatrix) -> bool:
 def permutation_from_matrix(matrix: RationalMatrix) -> BoundedAffinePermutation:
     """The bounded affine permutation of the positroid realized by the matrix.
 
-    pi(i) is the least j >= i with rank [i, j] = rank [i+1, j], i.e. with
-    column i in the span of columns i+1, ..., j (indices mod n); a zero
-    column is a loop with pi(i) = i and a column outside the span of all
-    others is a coloop.  The sign check reads all C(n, k) maximal minors,
-    so n is bounded as for bases (TooLarge beyond BASES_BOUND).
+    pi is read off the Grassmann necklace, where I_s is the columns one
+    elimination keeps over s, s+1, ..., s-1 (mod n): pi(i) is i for a zero
+    column, i + n for a coloop (I_{i+1} = I_i), else the column I_{i+1}
+    gains, lifted into (i, i + n).  The rank is the size of each I_s.  All
+    C(n, k) minor signs are checked, so n is bounded as for bases.
+
+    >>> permutation_from_matrix(RationalMatrix.from_rows([[1, 1, 0], [0, 0, 1]])).window
+    (2, 4, 6)
     """
     n, k = matrix.n, matrix.k
     TooLarge.check(n, BASES_BOUND)
-    cols = _full_rank_columns(matrix)
+    cols = _integer_columns(matrix)
+    necklace = [  # necklace[s] is I_{s+1}
+        {(s + t) % n + 1 for t, step in enumerate(_eliminate(cols[s:] + cols[:s]))
+         if step is not None}
+        for s in range(n)
+    ]
+    if any(len(basis) < k for basis in necklace):
+        raise NotFullRank("matrix does not have full row rank")
     if not is_positively_realizing(matrix):
         raise NotNonNegative("matrix has a negative maximal minor")
-    # prefix[s][t]: rank of the t + 1 columns s + 1, ..., s + t + 1 (cyclically)
-    prefix = []
-    for s in range(n):
-        ranks, r = [], 0
-        for step in _eliminate(cols[(s + t) % n] for t in range(n)):
-            r += step is not None
-            ranks.append(r)
-        prefix.append(ranks)
-
-    def rank_arc(start: int, end: int) -> int:
-        if end < start:
-            return 0
-        if end - start + 1 >= n:
-            return k
-        return prefix[(start - 1) % n][end - start]
-
-    window = [
-        next(j for j in range(i, i + n + 1) if rank_arc(i, j) == rank_arc(i + 1, j))
-        for i in range(1, n + 1)
-    ]
+    window = []
+    for i, basis in enumerate(necklace, start=1):
+        gained = necklace[i % n] - basis  # I_{i+1} minus I_i
+        if i not in basis:  # a zero column: a loop
+            window.append(i)
+        else:  # a coloop gains nothing and goes to i + n
+            window.append(i + (gained.pop() - i) % n if gained else i + n)
     return BoundedAffinePermutation.from_window(window)

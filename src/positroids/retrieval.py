@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import BoundedAffinePermutation, CyclicInterval, json_int
+from .core import BoundedAffinePermutation, CyclicInterval, json_array, json_int
 
 Square = tuple[int, int]
 
@@ -102,7 +102,7 @@ class RankConditionSet:
         n = json_int(obj["n"])
         conds = tuple(
             (json_int(c["rank"]), (json_int(c["start"]), json_int(c["len"])))
-            for c in obj["conditions"]
+            for c in json_array(obj["conditions"])
         )
         return cls(n, conds)
 

@@ -18,7 +18,13 @@ from itertools import combinations
 from positroids.core import CyclicInterval
 from positroids.essential import RankedEssentialFamily, rank_from_family
 from positroids.geometry import FacetSystem, TooLarge
-from positroids.realize import RationalMatrix, _full_rank_columns, _minor_sign
+from positroids.realize import (
+    NotFullRank,
+    RationalMatrix,
+    _eliminate,
+    _integer_columns,
+    _minor_sign,
+)
 
 
 def bases_by_scan(family: RankedEssentialFamily) -> list[tuple[int, ...]]:
@@ -42,7 +48,9 @@ def bases_by_scan(family: RankedEssentialFamily) -> list[tuple[int, ...]]:
 def matroid_bases(matrix: RationalMatrix, bound: int = 12) -> list[tuple[int, ...]]:
     """Column sets with nonzero maximal minor, sorted lexicographically."""
     TooLarge.check(matrix.n, bound)
-    cols = _full_rank_columns(matrix)
+    cols = _integer_columns(matrix)
+    if sum(step is not None for step in _eliminate(cols)) < matrix.k:
+        raise NotFullRank("matrix does not have full row rank")
     return [
         subset
         for subset in combinations(range(1, matrix.n + 1), matrix.k)

@@ -13,7 +13,10 @@ when every call behaves byte for byte the same.  The corpus:
 - the same on criterion-08 families (seeded) with n up to 64;
 - spoiled families: one label moved, raised to its interval's size, an
   entry dropped or added;
-- malformed documents.
+- malformed documents;
+- ``from-matrix`` on the seeded totally nonnegative matrices of
+  ``realize_reference.tnn_matrices`` in both formats, and on a matrix
+  with a negative minor, a rank-deficient one and one with n = 17.
 
 It makes about 33,000 calls in some ten seconds.  ``main`` returns the
 hash and the number of calls, which the slow test
@@ -63,6 +66,12 @@ MALFORMED = [
         [(1, 2, 2), (1, 2, 2), (1, 3, 9)], [(-1, 3, 2), (1, 2, 2), (0, 2, 2)],
         [(1, 3, 2), (1, 3, 2), (-1, 2, 2)], [(-1, 3, 2), (2, 1, 6)],
     ]
+]
+
+MATRICES = [
+    {"k": 2, "n": 3, "entries": [[1, 0, 1], [0, 1, -1]]},
+    {"k": 2, "n": 3, "entries": [[1, 2, 3], [2, 4, 6]]},
+    {"k": 2, "n": 17, "entries": [[1] * 17, list(range(17))]},
 ]
 
 
@@ -126,6 +135,7 @@ def spoiled(doc, rng: random.Random):
 def main() -> tuple[str, int]:
     from positroids import cli, diagram, retrieval
     from positroids.core import BoundedAffinePermutation, enumerate_windows
+    from realize_reference import tnn_matrices
 
     corpus = Corpus(cli)
     rng = random.Random("cli-corpus")
@@ -171,6 +181,12 @@ def main() -> tuple[str, int]:
         for argv in FAMILY_COMMANDS:
             corpus.run(argv, doc)
         corpus.run(["rank", "-", "--interval", "1,2", "--both"], doc)
+
+    for matrix in tnn_matrices():
+        for fmt in ("json", "text"):
+            corpus.run(["from-matrix", "-", "--format", fmt], matrix.to_json())
+    for doc in MATRICES:
+        corpus.run(["from-matrix", "-"], doc)
     return corpus.digest.hexdigest(), corpus.calls
 
 

@@ -411,6 +411,29 @@ class TestStrictInput:
         assert code == 1 and out == ""
         assert "expected an integer" in err
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["from-matrix"], {"k": 1, "n": 3, "entries": ["123"]}),
+            (["from-matrix"], {"k": 1, "n": 2, "entries": [{"1": 0, "2": 0}]}),
+            (["from-matrix"], {"k": 1, "n": 1, "entries": "7"}),
+            (["validate"], {"n": 3, "k": 1, "sets": {}}),
+            (["validate"], {"n": 3, "k": 1, "sets": ""}),
+            (["retrieve"], {"n": 2, "conditions": {}}),
+            (["essentials"], {"n": 3, "window": "234"}),
+            (["rank2"], {"n": 3, "classes": [[1], [2], [3]], "loops": ""}),
+            (["rank2"], {"n": 3, "classes": [[1], [2], [3]], "loops": {}}),
+            (["rank2"], {"n": 3, "classes": {"1": [1], "2": [2, 3]}}),
+            (["rank2"], {"n": 3, "classes": [[1], "23"]}),
+        ],
+    )
+    def test_string_or_object_for_an_array_rejected(self, write_json, capsys, argv, doc):
+        # the other iterables json.loads returns are refused, not iterated
+        path = write_json("in.json", doc)
+        code, out, err = run([argv[0], path, *argv[1:]], capsys)
+        assert code == 1 and out == ""
+        assert "expected an array" in err
+
     def test_matrix_entries_keep_rational_forms(self, write_json, capsys):
         path = write_json("m.json", {"k": 1, "n": 3, "entries": [[0.5, "3/2", 2]]})
         code, out, _ = run(["from-matrix", path], capsys)
@@ -547,7 +570,7 @@ class TestDeterminism:
         # every call of the corpus, byte for byte: any change to an output,
         # an exception or an exit code moves the hash
         assert cli_corpus.main() == (
-            "6448ae4ce889d21b081f3d95070cf4a8d69d6c05a0013a4efef2ae30b0d2d02f", 32_660
+            "62465e7997a0f6fd0b450923ed7cf0b7d6d5dc2c87196c21984a706c580982ea", 33_071
         )
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from positroids import geometry, realize
+from positroids import cli, geometry, realize
 from positroids.realize import (
     NotFullRank,
     NotNonNegative,
@@ -14,6 +14,7 @@ from positroids.realize import (
 )
 
 from bases_reference import matroid_bases
+from realize_reference import permutation_by_ranks, tnn_matrices
 
 # rational coordinates for the running example's point-line configuration:
 # points 1-4 on one line, 4-7 on another, 5 and 6 coincident, 8 generic
@@ -142,6 +143,44 @@ class TestPermutationFromMatrix:
         M = RationalMatrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(NotFullRank):
             permutation_from_matrix(M)
+
+
+class TestNecklaceAgainstRanks:
+    """The necklace reading of pi against the rank rule: pi(i) is the
+    least j >= i with rank [i, j] = rank [i+1, j]."""
+
+    def test_seeded_tnn_matrices(self):
+        matrices = tnn_matrices()
+        assert {(M.n, M.k) for M in matrices} == {
+            (n, k) for n in range(1, 11) for k in range(1, min(n, 4) + 1)
+        }
+        for M in matrices:
+            assert permutation_from_matrix(M) == permutation_by_ranks(M), M
+
+    @pytest.mark.parametrize(
+        "rows, window",
+        [
+            ([[1, 1, 0], [0, 0, 1]], (2, 4, 6)),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (4, 5, 6)),
+            ([[1, 0, 0, 0], [0, 1, 1, 0]], (5, 3, 6, 4)),
+            ([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], (2, 5, 7, 8)),
+            ([[0, 1, 1, 0], [0, 0, 0, 1]], (1, 3, 6, 8)),
+            ([[2]], (2,)),
+            ([[0, 3]], (1, 4)),
+        ],
+    )
+    def test_coloops(self, rows, window):
+        M = RationalMatrix.from_rows(rows)
+        assert is_positively_realizing(M)
+        assert permutation_from_matrix(M).window == window
+        assert permutation_by_ranks(M).window == window
+
+    def test_empty_matrix_reaches_the_window_check(self, write_json, capsys):
+        # no column: the rank check passes on the empty necklace, and
+        # from_window refuses the empty window
+        path = write_json("m.json", {"k": 0, "n": 0, "entries": []})
+        assert cli.main(["from-matrix", path]) == 1
+        assert capsys.readouterr() == ("", "error: window must be non-empty\n")
 
 
 class TestEndToEnd:
