@@ -24,7 +24,8 @@ re-checks any permutation against a condition set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .core import BoundedAffinePermutation, CyclicInterval, json_array, json_int
@@ -107,16 +108,65 @@ class RankConditionSet:
         return cls(n, conds)
 
 
-@dataclass
-class ProperDotting:
-    """Mutable dot placement on the periodic array; one dot per row at most."""
+@lru_cache(maxsize=16)
+def _comb(n: int) -> int:
+    """S(n): one bit every 2n bits, n bits in all."""
+    return ((1 << 2 * n * n) - 1) // ((1 << 2 * n) - 1)
 
-    n: int
-    cols: dict[int, int] = field(default_factory=dict)  # row residue -> column
+
+class ProperDotting:
+    """Mutable dot placement on the periodic array; one dot per row at most.
+
+    Beside ``cols`` it keeps n lanes in one int, lane i (an origin row,
+    1 <= i <= n) being bits [(i-1)(2n+1), i(2n+1)): bit p of lane i
+    counts the dots with c + (row - i) % n = p, which lies in [1, 2n]
+    for columns in [1, n+1].  The dot (row, c), of value v = row + c - 1,
+    is bit 2n(i-1) + v of lane i <= row and bit 2n(i-1) + v + n of
+    lane i > row; with S(x) the comb of bits 0, 2n, ..., 2n(x-1),
+    ``place`` adds S(row) << v | (S(n) ^ S(row)) << (v + n).  The lanes
+    are bit-sliced counters: a bit already set carries into
+    ``carries[0]``, the twos, and so on, so every count is exact even
+    on an improper partial dotting.  Two dots share a bit of some lane
+    exactly when their values agree mod n, so a proper dotting never
+    carries.  Bit h of ``free`` is set while row h is undotted.
+
+    ``place``, ``d`` and ``first_undotted`` are O(1) operations on ints
+    of at most n(2n+1) bits, so a retrieval run with E conditions is
+    O(n + E) of them, and O(n log n) more in its column searches.
+    """
+
+    __slots__ = ("n", "cols", "lanes", "carries", "free", "comb")
+
+    def __init__(self, n: int, cols: dict[int, int] | None = None):
+        self.n = n
+        self.cols: dict[int, int] = {}  # row residue -> column
+        self.lanes = 0
+        self.carries: list[int] = []
+        self.free = (2 << n) - 2
+        self.comb = _comb(n)
+        for row, col in (cols or {}).items():
+            self.place(row, col)
 
     def place(self, row: int, col: int) -> None:
         assert row not in self.cols, f"row {row} already dotted"
         self.cols[row] = col
+        self.free ^= 1 << row
+        n, comb = self.n, self.comb
+        head = comb >> 2 * n * (n - row)  # S(row)
+        v = row + col - 1
+        bits = head << v | (comb ^ head) << v + n
+        carry = self.lanes & bits
+        self.lanes ^= bits
+        carries = self.carries
+        for k, plane in enumerate(carries):  # none while the dotting is proper
+            carries[k], carry = plane ^ carry, plane & carry
+        if carry:
+            carries.append(carry)
+
+    def first_undotted(self, i: int) -> int:
+        """The first undotted row from row i on, cyclically; one must exist."""
+        later = self.free >> i << i or self.free
+        return (later & -later).bit_length() - 1
 
     def undotted_rows(self) -> list[int]:
         return [h for h in range(1, self.n + 1) if h not in self.cols]
@@ -126,17 +176,23 @@ class ProperDotting:
         return len(set(diags)) == len(diags)
 
     def d(self, sq: Square) -> int:
-        """Dots in the triangle T at ``sq``.
+        """Dots in the triangle T at ``sq`` = (i, m), 1 <= i <= n, 0 <= m <= 2n+1.
 
         The dot of row h at column c lies in T(i, m) exactly when
         c + (h - i) % n <= m.  A square belongs to T when some lift of
         its row meets the column bound of that lift; the lowest lift,
         t = (h - i) % n, gives the weakest bound, and as c >= 1 the
-        predicate already forces t < min(m, n).
+        predicate already forces t < min(m, n).  So d counts bits 0..m
+        of lane i: one shift, one mask and one ``bit_count`` per plane.
         """
         i, m = sq
-        n = self.n
-        return sum([col + (row - i) % n <= m for row, col in self.cols.items()])
+        shift = (i - 1) * (2 * self.n + 1)
+        mask = (2 << m) - 1  # bit 2n + 1 is the next lane's bit 0, always clear
+        count = (self.lanes >> shift & mask).bit_count()
+        if self.carries:
+            for k, plane in enumerate(self.carries, 1):
+                count += (plane >> shift & mask).bit_count() << k
+        return count
 
     def window(self) -> list[int]:
         return [h + self.cols[h] - 1 for h in range(1, self.n + 1)]
@@ -170,21 +226,36 @@ def replay_trace(n: int, events: Iterable[TraceEvent]) -> BoundedAffinePermutati
 def _min_col_with_dependency(dotting: ProperDotting, h: int, r: int) -> int | None:
     """Least column b in [1, n+1] with b - 1 - d(h, b) = r, if any.
 
-    A tally of d's predicate, the least b = col + (row - h) % n at which
-    each dot counts in d(h, b), gives every d(h, b) in O(n).
+    While no bit counts two dots, bits 1..b of lane h hold d(h, b) ones
+    and b - d(h, b) zeros, so b - 1 - d(h, b) rises by 0 or 1 per column
+    and b is the (r+1)-th zero of lane h in bits 1..n+1: a bisection on
+    ``bit_count`` over the ones' count, O(log n) int operations.  After
+    a carry the planes are summed bit by bit, in O(n).
     """
     n = dotting.n
-    reach = [0] * (n + 2)
-    for row, col in dotting.cols.items():
-        b = col + (row - h) % n
-        if b <= n + 1:
-            reach[b] += 1
-    deps = 0
-    for b in range(1, n + 2):
-        deps += reach[b]
-        if b - 1 - deps == r:
-            return b
-    return None
+    shift = (h - 1) * (2 * n + 1)
+    if dotting.carries:  # some bit counts two dots or more
+        lane = [plane >> shift for plane in (dotting.lanes, *dotting.carries)]
+        deps = 0
+        for b in range(1, n + 2):
+            deps += sum([(plane >> b & 1) << k for k, plane in enumerate(lane)])
+            if b - 1 - deps == r:
+                return b
+        return None
+    ones = dotting.lanes >> shift & (1 << n + 2) - 1  # bits 0..n+1; bit 0 is clear
+    want = r + 1
+    if want <= 0:  # no zero before b: only b = 1 on a dot, for r = -1
+        return 1 if want == 0 and ones & 2 else None
+    lo, hi = want, want + ones.bit_count()  # the want-th zero lies in [lo, hi]
+    if hi > n + 1:  # fewer than want zeros in bits 1..n+1
+        return None
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if mid - (ones & (2 << mid) - 1).bit_count() < want:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _fail(log, kind: str, **context):
@@ -211,9 +282,7 @@ def _dotted(n: int, k: int, ordered: list, log=None) -> BoundedAffinePermutation
             log.emit("excess_computed", value=a)
         while a > 0:
             if len(cols) < n:
-                h = i
-                while h in cols:  # the first undotted row from row i on
-                    h = h % n + 1
+                h = dotting.first_undotted(i)
                 col = _min_col_with_dependency(dotting, h, r)
                 if col is not None:
                     dotting.place(h, col)

@@ -22,6 +22,7 @@ from positroids.retrieval import (
 )
 
 import diagram_reference as reference
+import retrieval_reference
 
 PAPER_INPUT = RankConditionSet(5, ((1, (3, 2)), (3, (1, 5))))
 KINDS = {
@@ -78,7 +79,7 @@ class TestDottingCounters:
         assert q.rank_interval(CyclicInterval(5, 1, 5)) == 3
 
     def test_min_col_matches_d_scan(self):
-        # the tally in _min_col_with_dependency against calling d per column,
+        # _min_col_with_dependency against the reference tally of the dots,
         # and d against a count over the lifts of the rows of T(h, b)
         def d_by_lifts(dotting, i, m):
             return sum(
@@ -95,10 +96,7 @@ class TestDottingCounters:
             for b in range(0, n + 2):
                 assert dotting.d((h, b)) == d_by_lifts(dotting, h, b)
             for r in range(-1, n + 2):
-                expected = next(
-                    (b for b in range(1, n + 2) if b - 1 - dotting.d((h, b)) == r),
-                    None,
-                )
+                expected = retrieval_reference.min_col_by_tally(dotting, h, r)
                 assert retrieval._min_col_with_dependency(dotting, h, r) == expected
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -112,6 +110,97 @@ class TestDottingCounters:
                         CyclicInterval(n, i, m)
                     ) == reference.count_dots_in_P(p, (i, m))
                     assert dotting.d((i, m)) == reference.count_dots_in_T(p, (i, m))
+
+
+class TestLanesAgainstScan:
+    """``ProperDotting``'s bit-parallel lanes and ``retrieve`` against the
+    scan reference: every count, column and outcome agrees."""
+
+    @staticmethod
+    def improper_dottings(seed=24, count=400):
+        """Seeded partial dottings with n <= 40 whose values repeat a few
+        residues, so that bits count several dots and carry; each comes
+        with the dots in placement order."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(1, 40)
+            residues = rng.sample(range(n), rng.randint(1, min(n, 3)))
+            rows = rng.sample(range(1, n + 1), rng.randint(0, n))
+            # value row + c - 1 on a chosen residue, c in [1, n+1]
+            dots = [(row, (rng.choice(residues) - row) % n + 1) for row in rows]
+            if rng.random() < 0.3 and dots:  # column n + 1: the wrapped lift
+                row, col = dots[0]
+                dots[0] = (row, col + n if col == 1 else col)
+            yield n, dots
+
+    def test_improper_dottings_counted_exactly(self):
+        rng = random.Random(40)
+        deepest = 0
+        for n, dots in self.improper_dottings():
+            placed = ProperDotting(n)
+            for row, col in dots:
+                placed.place(row, col)
+            scan = retrieval_reference.ScanDotting(n, dict(dots))
+            deepest = max(deepest, len(placed.carries))
+            assert scan.is_proper() == (not placed.carries)  # values apart mod n
+            for dotting in (placed, ProperDotting(n, dict(dots))):
+                assert dotting.cols == scan.cols
+                for h in rng.sample(range(1, n + 1), min(n, 3)):
+                    for m in range(0, 2 * n + 2):
+                        assert dotting.d((h, m)) == scan.d((h, m)), (n, dots, h, m)
+                    for r in range(-1, n + 2):
+                        assert retrieval._min_col_with_dependency(
+                            dotting, h, r
+                        ) == retrieval_reference.min_col_by_tally(scan, h, r), (n, dots, h, r)
+        assert deepest >= 3  # some bit counted four dots or more
+
+    @staticmethod
+    def outcome(retrieve_fn, C):
+        try:
+            perm, trace = retrieve_fn(C, trace=True)
+            result = perm.window
+        except InvalidInput as e:
+            trace, result = e.trace, (e.kind, e.context)
+        return result, [ev.to_json() for ev in trace]
+
+    def assert_same(self, C):
+        assert self.outcome(retrieve, C) == self.outcome(retrieval_reference.retrieve, C), C
+
+    def test_every_labeling_up_to_two(self):
+        for n in (1, 2):
+            for C in all_labelings(n):
+                self.assert_same(C)
+
+    def test_seeded_condition_sets(self):
+        # a random positroid's ranks on up to 2n squares, often one label off by one
+        rng = random.Random(30)
+        for _ in range(1500):
+            n = rng.randint(5, 30)
+            p = reference.random_permutation(rng, n)
+            conds = {(1, n): p.rank()}
+            for _ in range(rng.randint(0, 2 * n)):
+                i, j = rng.randint(1, n), rng.randint(1, n)
+                conds[i, j] = p.ranks_from(i)[j]
+            if rng.random() < 0.6:
+                sq = rng.choice(sorted(conds))
+                conds[sq] = max(0, conds[sq] + rng.choice((-1, 1)))
+            self.assert_same(
+                RankConditionSet(n, tuple((r, sq) for sq, r in sorted(conds.items())))
+            )
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_criterion_08_families(self, n):
+        # each family as it is, and a copy with one label raised
+        rng = random.Random(n)
+        for _ in range(2):
+            p = reference.random_permutation(rng, n)
+            conditions = conditions_from_family(diagram.ranked_essential_family(p))
+            self.assert_same(conditions)
+            spoiled = list(conditions.conditions)
+            a = rng.randrange(len(spoiled))
+            r, sq = spoiled[a]
+            spoiled[a] = (r + 1, sq)
+            self.assert_same(RankConditionSet(n, tuple(spoiled)))
 
 
 class TestRetrieve:
