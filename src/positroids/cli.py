@@ -84,7 +84,8 @@ def _load_perm_or_family(obj: dict):
 
 def _annotated_family_json(family, with_excess, with_core, with_connected) -> dict:
     """The family's JSON, annotated from excess values and connected
-    entries that come in entry order, so nothing is looked up."""
+    flags aligned with its triples, so nothing is looked up and no
+    interval is built."""
     out = family.to_json()
     if with_excess or with_core:
         for entry_json, value in zip(out["sets"], essential.excess(family)):
@@ -93,12 +94,8 @@ def _annotated_family_json(family, with_excess, with_core, with_connected) -> di
             if with_core:  # the core is the entries of positive excess
                 entry_json["core"] = value > 0
     if with_connected:
-        connected = iter(essential.connected_entries(family))
-        upcoming = next(connected, None)
-        for entry_json, entry in zip(out["sets"], family.entries):
-            entry_json["connected"] = marked = entry == upcoming
-            if marked:
-                upcoming = next(connected, None)
+        for entry_json, connected in zip(out["sets"], essential.connected_flags(family)):
+            entry_json["connected"] = connected
     return out
 
 

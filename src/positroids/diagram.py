@@ -32,19 +32,6 @@ def dots(p: BoundedAffinePermutation) -> tuple[Square, ...]:
     return tuple([(i, p.eval(i) - i + 1) for i in range(1, p.n + 1)])
 
 
-def is_white(p: BoundedAffinePermutation, row: int, col: int) -> bool:
-    """White test for a single square, on lifts (no set construction).
-
-    Each dot shades the squares strictly to its left in its own row and
-    the squares on its sub-antidiagonal.  The square (row, col) sits on
-    the antidiagonal holding exactly one dot; it is white iff its own
-    row's dot is not strictly to its right and the antidiagonal's dot is
-    not strictly above it.
-    """
-    v = row + col - 1
-    return p.eval(row) <= v and p.inverse_at(v) >= row
-
-
 def corners(p: BoundedAffinePermutation) -> list[Square]:
     """Corner squares of the diagram, by the arithmetic characterization.
 
@@ -59,30 +46,47 @@ def corners(p: BoundedAffinePermutation) -> list[Square]:
     return [(i, m) for i, m, _ in _ranked_corners(p)]
 
 
+def _rows(p: BoundedAffinePermutation):
+    """For each row i in [1, n]: i, pi(i) and the row's set
+    S_i = {j >= i : pi^{-1}(j) < i}, as bit j - i of an int.
+
+    One int ``live`` holds bit pi(l) + n for every position l in
+    [1 - n, i - 1], so S_i is ``live >> (i + n)``: each l < i with
+    pi(l) >= i is at least i - n, as pi(l) <= l + n.  Going to row i + 1
+    sets one bit, pi(i) + n, on an int of about 3n bits.
+    """
+    n, window = p.n, p.window
+    live = sum([1 << v for v in window])  # positions 1 - n to 0: pi(l) + n = pi(l + n)
+    for i, v in enumerate(window, 1):
+        yield i, v, live >> i + n
+        live |= 1 << v + n
+
+
 def _ranked_corners(p: BoundedAffinePermutation) -> list[tuple[int, int, int]]:
-    """Each corner (i, m) with the rank of [i, i + m - 1], by one walk per
-    row: as in ``ranks_from``, the rank of [i, j] counts the j' <= j with
-    pi^{-1}(j') < i, which the walk reads off the inverse table."""
-    n, inv = p.n, p._inv
+    """Each corner (i, m) with the rank of [i, i + m - 1], off row i's set.
+
+    In ``corners``' terms, [i, j] is a corner iff j is not in S_i, j + 1
+    is, and pi(i) <= j < pi(i - 1): a rising edge of S_i at bit
+    m = j + 1 - i, with pi(i) - i < m <= pi(i - 1) - i.  As in
+    ``ranks_from``, the rank of [i, j] counts S_i up to j, the bits below
+    the edge.  So it is O(n + E) int operations for E corners.
+    """
     out = []
-    for i in range(1, n + 1):
-        lo = max(i, p.eval(i))
-        hi = min(i + n - 1, p.eval(i - 1) - 1)
-        if lo > hi:
-            continue
-        rank = below = 0  # below: whether pi^{-1}(j - 1) < i
-        for j in range(i, hi + 2):
-            pos, val = inv[j % n]
-            now = val - pos > j - i  # pi^{-1}(j) < i
-            if now and not below and lo < j:
-                out.append((i, j - i, rank))
-            rank += now
-            below = now
+    prev = p.window[-1] - p.n  # pi(i - 1)
+    for i, v, row in _rows(p):
+        if v < prev:
+            edges = row & ~(row << 1) & (1 << prev - i + 1) - (1 << v - i + 1)
+            while edges:
+                low = edges & -edges
+                out.append((i, low.bit_length() - 1, (row & low - 1).bit_count()))
+                edges ^= low
+        prev = v
     return out
 
 
 def ranked_essential_family(p: BoundedAffinePermutation) -> RankedEssentialFamily:
-    """The ranked corners as the family's triples, plus the full set's.
+    """The ranked corners as the family's triples, plus the full set's:
+    O(n + E) int operations for E entries.
 
     ``_ranked_corners`` yields them in canonical order, and no corner has
     length n: that would need pi^{-1}(i + n) < i, against pi(l) <= l + n.
@@ -96,20 +100,21 @@ def ranked_essential_family(p: BoundedAffinePermutation) -> RankedEssentialFamil
 
 
 def render(p: BoundedAffinePermutation) -> str:
-    """Text rendering: '.' white, '#' shaded, 'o' dot, with headers."""
+    """Text rendering: '.' white, '#' shaded, 'o' dot, with headers.
+
+    Row i's dot is in column pi(i) - i + 1.  The square (i, c) is white
+    iff it is not left of the dot and c - 1 + i is not in S_i: its
+    antidiagonal's dot is not above it.
+    """
     n = p.n
-    dot_cols = {i: c for i, c in dots(p)}
     width = len(str(n + 1))
     lines = [" " * (width + 1) + " ".join(f"{c:>{width}}" for c in range(1, n + 2))]
-    for i in range(1, n + 1):
-        cells = []
-        for j in range(1, n + 2):
-            if dot_cols[i] == j:
-                cells.append("o")
-            elif not is_white(p, i, j):
-                cells.append("#")
-            else:
-                cells.append(".")
+    for i, v, row in _rows(p):
+        dot = v - i  # the dot's column, 0-based like c
+        cells = [
+            "o" if c == dot else "#" if c < dot or row >> c & 1 else "."
+            for c in range(n + 1)
+        ]
         lines.append(
             f"{i:>{width}} " + " ".join(f"{c:>{width}}" for c in cells)
         )

@@ -154,9 +154,7 @@ def rank_from_family(family: RankedEssentialFamily, interval: CyclicInterval) ->
 
 
 def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
-    """Entries whose rank condition is not additively implied by two or
-    more pairwise-disjoint smaller entries inside the interval (the
-    nullity |I| - r is not the sum of theirs), in the family's entry
+    """The entries that ``connected_flags`` marks, in the family's entry
     order, which ``build`` and ``ranked_essential_family`` make canonical.
 
     >>> from positroids.diagram import ranked_essential_family
@@ -164,6 +162,22 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     >>> F = ranked_essential_family(p)
     >>> [(r, iv.start, iv.length) for r, iv in connected_entries(F)]
     [(2, 1, 4), (3, 1, 8), (2, 4, 4), (1, 5, 2)]
+    """
+    return tuple([e for e, connected in zip(family.entries, connected_flags(family)) if connected])
+
+
+def connected_flags(family: RankedEssentialFamily) -> tuple[bool, ...]:
+    """Whether each entry is connected, aligned with the family's
+    ``triples``: its rank condition is not additively implied by two or
+    more pairwise-disjoint smaller entries inside the interval (the
+    nullity |I| - r is not the sum of theirs).  It reads the triples
+    only, so no ``CyclicInterval`` is built.
+
+    >>> from positroids.diagram import ranked_essential_family
+    >>> p = BoundedAffinePermutation.from_window([2, 3, 7, 5, 6, 10])
+    >>> F = ranked_essential_family(p)
+    >>> F.triples, connected_flags(F)  # the full set's nullity 4 is 2 + 2
+    (((1, 3, 1), (1, 6, 2), (4, 3, 1)), (True, False, True))
 
     Each entry asks whether parts inside a stretch [origin, q) of the
     doubled line [0, 2n) reach a sum of nullities.  A proper entry is the
@@ -188,7 +202,7 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
     nullities = [length - r for _, length, r in triples]
     width = max(nullities) + 1  # above every sum asked for
     if width < 2:
-        return family.entries  # no entry has a nullity to split
+        return (True,) * len(triples)  # no entry has a nullity to split
     full = lengths.index(n)
     target = nullities[full]
     # the full set's questions: (origin, position, sum, whether J0 is taken)
@@ -230,7 +244,7 @@ def connected_entries(family: RankedEssentialFamily) -> tuple[Entry, ...]:
             (ones[q] | more[q] if taken else more[q]) >> stride * lanes[origin] + total & 1
             for origin, q, total, taken in splits
         ])
-    return tuple([e for e, connected in zip(family.entries, flags) if connected])
+    return tuple(flags)
 
 
 def excess(family: RankedEssentialFamily) -> tuple[int, ...]:
@@ -255,32 +269,36 @@ def excess(family: RankedEssentialFamily) -> tuple[int, ...]:
     n = family.n
     triples = family.triples
     values = [0] * len(triples)
-    copies = []  # (start, end, index) of each proper entry's two copies
+    size = 2 * n
+    # each proper entry's two copies, as (end, size - start, index) and
+    # (start, -end, index), so that plain tuples sort in the sweeps' orders
+    by_end, by_start = [], []
     for a, (start, length, _) in enumerate(triples):
         if length == n:
             full = a
         else:
             start -= 1
-            copies += [(start, start + length, a), (start + n, start + n + length, a)]
-    size = 2 * n
+            end = start + length
+            by_end += [(end, size - start, a), (end + n, n - start, a)]
+            by_start += [(start, -end, a), (start + n, -end - n, a)]
     tree = [0] * (size + 1)  # a start s at size - s, so a prefix holds the starts from s on
-    for start, end, a in sorted(copies, key=lambda c: (c[1], -c[0])):
-        i = size - start
-        if start < n:  # the first copy: every copy inside it is in the tree
-            held = 0
+    for _, slot, a in sorted(by_end):
+        if slot > n:  # the first copy: every copy inside it is in the tree
+            held, i = 0, slot
             while i:
                 held += tree[i]
                 i &= i - 1
-            values[a] = end - start - triples[a][2] - held
-            i = size - start
+            _, length, r = triples[a]
+            values[a] = length - r - held
+        i = slot
         while i <= size:
             tree[i] += values[a]
             i += i & -i
-    nested, reach = set(), 0
-    for _, end, a in sorted(copies, key=lambda c: (c[0], -c[1])):
-        if end <= reach:
+    nested, reach = set(), 0  # reach: the furthest end so far, negated as the ends are
+    for _, end, a in sorted(by_start):
+        if end >= reach:
             nested.add(a)
-        reach = max(reach, end)
+        reach = min(reach, end)
     # the full set's own value is still 0 here
     values[full] = n - triples[full][2] - sum([
         value for a, value in enumerate(values) if a not in nested

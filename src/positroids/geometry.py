@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BoundedAffinePermutation, CyclicInterval
-from .diagram import ranked_essential_family
+from .diagram import _rows, ranked_essential_family
 from .essential import RankedEssentialFamily, connected_entries, excess
 
 
@@ -47,17 +47,12 @@ _LOW, _HIGH = _byte_table(1), _byte_table(9)
 def length(p: BoundedAffinePermutation) -> int:
     """Inversion count: pairs i in [n], i < j <= i + n with pi(i) > pi(j).
 
-    pi(j) for j in (i, i + n] is read off the window and its copy lifted
-    by n, so the count makes no ``eval`` call.
+    Shifted by multiples of n, these are the pairs with j in [n] and
+    j - n <= i < j.  For each j the values pi(i) of those i that exceed
+    pi(j) are the members of row j's set ``diagram._rows`` above pi(j).
+    So it is O(n) int operations, with no ``eval`` call.
     """
-    n, window = p.n, p.window
-    lifted = window + tuple([v + n for v in window])
-    count = 0
-    for a, v in enumerate(window):
-        for u in lifted[a + 1 : a + n + 1]:
-            if v > u:
-                count += 1
-    return count
+    return sum([(row >> v - j + 1).bit_count() for j, v, row in _rows(p)])
 
 
 def codim_from_family(family: RankedEssentialFamily) -> int:

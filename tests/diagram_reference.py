@@ -4,12 +4,16 @@ tests.
 
 They follow the definitions literally (regions as membership predicates,
 shading as a set of squares) and are the references that the package's
-arithmetic is checked against: ``diagram.corners``, ``diagram.is_white``,
-``ProperDotting.d`` and ``BoundedAffinePermutation.rank_interval``.
+arithmetic is checked against: ``diagram.corners``, ``ProperDotting.d``
+and ``BoundedAffinePermutation.rank_interval``.  Between the two sit the
+square-by-square white test ``is_white`` and the per-row corner walk
+``ranked_corners_by_walk``, which ``diagram.render`` and
+``diagram._ranked_corners`` are checked against.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Callable
 
 from positroids.core import BoundedAffinePermutation, residue
@@ -29,6 +33,17 @@ def random_permutation(rng, n: int) -> BoundedAffinePermutation:
             v = i + n
         window.append(v)
     return BoundedAffinePermutation.from_window(window)
+
+
+# sizes of the seeded windows that the sweeps are checked on
+SEEDED_SIZES = (16, 24, 40, 64, 128, 256)
+
+
+def seeded_permutations(n: int) -> list[BoundedAffinePermutation]:
+    """Criterion-08 permutations of size n, seeded by n: 50 up to n = 64,
+    8 above."""
+    rng = random.Random(500 + n)
+    return [random_permutation(rng, n) for _ in range(50 if n <= 64 else 8)]
 
 
 def _band_offsets(n: int, row: int, anchor_row: int, height: int):
@@ -118,3 +133,54 @@ def geometric_corners(p: BoundedAffinePermutation) -> list[Square]:
             ):
                 found.append((i, j))
     return found
+
+
+def is_white(p: BoundedAffinePermutation, row: int, col: int) -> bool:
+    """White test for a single square, on lifts (no set construction).
+
+    Each dot shades the squares strictly to its left in its own row and
+    the squares on its sub-antidiagonal.  The square (row, col) sits on
+    the antidiagonal holding exactly one dot; it is white iff its own
+    row's dot is not strictly to its right and the antidiagonal's dot is
+    not strictly above it.
+    """
+    v = row + col - 1
+    return p.eval(row) <= v and p.inverse_at(v) >= row
+
+
+def ranked_corners_by_walk(p: BoundedAffinePermutation) -> list[tuple[int, int, int]]:
+    """Each corner (i, m) with the rank of [i, i + m - 1], by one walk
+    over every candidate of every row: as in ``ranks_from``, the rank of
+    [i, j] counts the j' <= j with pi^{-1}(j') < i, which the walk reads
+    off the inverse table."""
+    n, inv = p.n, p._inv
+    out = []
+    for i in range(1, n + 1):
+        lo = max(i, p.eval(i))
+        hi = min(i + n - 1, p.eval(i - 1) - 1)
+        if lo > hi:
+            continue
+        rank = below = 0  # below: whether pi^{-1}(j - 1) < i
+        for j in range(i, hi + 2):
+            pos, val = inv[j % n]
+            now = val - pos > j - i  # pi^{-1}(j) < i
+            if now and not below and lo < j:
+                out.append((i, j - i, rank))
+            rank += now
+            below = now
+    return out
+
+
+def render_by_squares(p: BoundedAffinePermutation) -> str:
+    """``diagram.render`` by one ``is_white`` test per square."""
+    n = p.n
+    dot_cols = dict(dots(p))
+    width = len(str(n + 1))
+    lines = [" " * (width + 1) + " ".join(f"{c:>{width}}" for c in range(1, n + 2))]
+    for i in range(1, n + 1):
+        cells = [
+            "o" if dot_cols[i] == j else "." if is_white(p, i, j) else "#"
+            for j in range(1, n + 2)
+        ]
+        lines.append(f"{i:>{width}} " + " ".join(f"{c:>{width}}" for c in cells))
+    return "\n".join(lines)

@@ -94,7 +94,7 @@ class TestShading:
             shaded = reference.shaded_set(p)
             for i in range(1, n + 1):
                 for j in range(1, n + 2):
-                    assert diagram.is_white(p, i, j) == ((i, j) not in shaded)
+                    assert reference.is_white(p, i, j) == ((i, j) not in shaded)
 
     def test_uniform_has_no_corner(self):
         uniform = BoundedAffinePermutation.uniform(2, 6)
@@ -120,6 +120,34 @@ class TestCorners:
     def test_matches_geometric_definition_exhaustively(self, n):
         for p in enumerate_permutations(n):
             assert sorted(diagram.corners(p)) == sorted(reference.geometric_corners(p))
+
+
+class TestRowSweep:
+    """The sliding row sets against the per-row walk and the per-square
+    white test they replace."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ranked_corners_match_the_walk_exhaustively(self, n):
+        for p in enumerate_permutations(n):
+            assert diagram._ranked_corners(p) == reference.ranked_corners_by_walk(p)
+
+    @pytest.mark.parametrize("n", reference.SEEDED_SIZES)
+    def test_ranked_corners_match_the_walk_seeded(self, n):
+        perms = reference.seeded_permutations(n)
+        # the windows hold loops and coloops, where lifts matter most
+        assert any(p.loops() for p in perms) and any(p.coloops() for p in perms)
+        for p in perms:
+            assert diagram._ranked_corners(p) == reference.ranked_corners_by_walk(p)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_render_matches_the_squares_exhaustively(self, n):
+        for p in enumerate_permutations(n):
+            assert diagram.render(p) == reference.render_by_squares(p)
+
+    @pytest.mark.parametrize("n", [16, 40, 128])
+    def test_render_matches_the_squares_seeded(self, n):
+        for p in reference.seeded_permutations(n)[:8]:
+            assert diagram.render(p) == reference.render_by_squares(p)
 
 
 class TestRankDotAgreement:

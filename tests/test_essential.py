@@ -2,6 +2,7 @@ import functools
 import gc
 import importlib.util
 import io
+import json
 import random
 import sys
 from collections import Counter
@@ -23,6 +24,7 @@ from positroids.essential import (
     NotValidated,
     RankedEssentialFamily,
     connected_entries,
+    connected_flags,
     core,
     excess,
     permutation_from_family,
@@ -100,15 +102,30 @@ class TestFamilyConstruction:
 
     @pytest.mark.parametrize("compute", [
         excess,
+        connected_flags,
         geometry.codim_from_family,
         lambda F: rank_from_family(F, CyclicInterval(F.n, 7, 4)),
         geometry._basis_masks,
-    ], ids=["excess", "codim_from_family", "rank_from_family", "_basis_masks"])
+    ], ids=["excess", "connected_flags", "codim_from_family", "rank_from_family",
+            "_basis_masks"])
     def test_computations_read_the_triples(self, family_a, compute):
         # a fresh family: its CyclicInterval entries stay unbuilt
         F = RankedEssentialFamily.from_json(family_a.to_json())
         compute(F)
         assert "entries" not in F.__dict__
+
+    def test_essentials_builds_no_interval(self, monkeypatch, capsys):
+        # the annotations read the triples, so the family extracted from
+        # the input permutation keeps its CyclicInterval entries unbuilt
+        extracted, extract = [], diagram.ranked_essential_family
+        monkeypatch.setattr(diagram, "ranked_essential_family",
+                            lambda p: extracted.append(extract(p)) or extracted[-1])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"window": DENSE_WINDOW})))
+        assert cli.main(["essentials", "-", "--excess", "--core", "--connected"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [len(extracted), len(out["sets"])] == [1, len(extracted[0].triples)]
+        assert not all([entry["connected"] for entry in out["sets"]])
+        assert "entries" not in extracted[0].__dict__
 
 
 def sets(*triples):
@@ -665,13 +682,23 @@ def reference_core(F):
     return {e for e, value in zip(F.entries, excess_by_rescan(F)) if value > 0}
 
 
+def assert_flags_filter(F):
+    # the flags line up with the triples, and the entries are their filter
+    flags = connected_flags(F)
+    assert len(flags) == len(F.triples)
+    assert all(type(flag) is bool for flag in flags)
+    assert connected_entries(F) == tuple([e for e, flag in zip(F.entries, flags) if flag])
+
+
 def assert_matches_references(F):
+    assert_flags_filter(F)
     assert set(connected_entries(F)) == connected_by_search(F)
     assert excess(F) == excess_by_rescan(F)
     assert set(core(F)) == reference_core(F)
 
 
 def assert_matches_oracle(F):
+    assert_flags_filter(F)
     n = F.n
     entries = [(r, iv.start, iv.length) for r, iv in F.entries]
     table = oracle.excess(n, entries)
@@ -721,6 +748,7 @@ class TestAgainstReferences:
         for p in enumerate_permutations(n):
             F = diagram.ranked_essential_family(p)
             assert connected_entries(F) == connected_by_sweeps(F)
+            assert_flags_filter(F)
 
     @pytest.mark.parametrize("n, count", [(64, 10), (128, 3), (256, 1)])
     def test_one_sweep_matches_the_sweeps_large(self, n, count):
@@ -728,6 +756,7 @@ class TestAgainstReferences:
         for _ in range(count):
             F = window_family(oracle.criterion08_window(rng, n))
             assert connected_entries(F) == connected_by_sweeps(F)
+            assert_flags_filter(F)
 
     def test_positive_nullities_match_the_search(self):
         # mostly invalid families, whose sums of disjoint nullities can
@@ -859,8 +888,9 @@ def test_benchmark_tracing_resolves(patcher, capsys, monkeypatch):
         '{"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13]}'))
     with recorder.installed():
         assert _bindings() != before
-        assert cli.main(["codim", "-", "--both"]) == 0
-    assert capsys.readouterr().out == "5 5\n"
+        # the permutation route of rank reaches a counted method
+        assert cli.main(["rank", "-", "--interval", "2,3", "--both"]) == 0
+    assert capsys.readouterr().out == "2\n"
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

@@ -70,11 +70,9 @@ class TestLength:
         for p in enumerate_permutations(n):
             assert length(p) == length_by_eval(p)
 
-    @pytest.mark.parametrize("n", [16, 24, 40, 64])
+    @pytest.mark.parametrize("n", reference.SEEDED_SIZES)
     def test_window_count_matches_eval_count_randomized(self, n):
-        rng = random.Random(500 + n)
-        for _ in range(50):
-            p = reference.random_permutation(rng, n)
+        for p in reference.seeded_permutations(n):
             assert length(p) == length_by_eval(p)
 
 
