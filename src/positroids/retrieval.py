@@ -118,30 +118,42 @@ class ProperDotting:
     """Mutable dot placement on the periodic array; one dot per row at most.
 
     Beside ``cols`` it keeps n lanes in one int, lane i (an origin row,
-    1 <= i <= n) being bits [(i-1)(2n+1), i(2n+1)): bit p of lane i
-    counts the dots with c + (row - i) % n = p, which lies in [1, 2n]
+    1 <= i <= n) being bits [(i-1)(2n+1), i(2n+1)): bit p of lane i is
+    set by the dots with c + (row - i) % n = p, which lies in [1, 2n]
     for columns in [1, n+1].  The dot (row, c), of value v = row + c - 1,
     is bit 2n(i-1) + v of lane i <= row and bit 2n(i-1) + v + n of
     lane i > row; with S(x) the comb of bits 0, 2n, ..., 2n(x-1),
-    ``place`` adds S(row) << v | (S(n) ^ S(row)) << (v + n).  The lanes
-    are bit-sliced counters: a bit already set carries into
-    ``carries[0]``, the twos, and so on, so every count is exact even
-    on an improper partial dotting.  Two dots share a bit of some lane
-    exactly when their values agree mod n, so a proper dotting never
-    carries.  Bit h of ``free`` is set while row h is undotted.
+    ``place`` ORs in S(row) << v | (S(n) ^ S(row)) << (v + n), one bit
+    per lane.  Bit h of ``free`` is set while row h is undotted.
+
+    Two dots share a lane bit exactly when their values agree mod n:
+    a dot's bit in lane i, c + (row - i) % n, is v - i + 1 mod n, and
+    conversely, with rows r1 != r2 and delta = (r2 - r1) % n, their bits
+    in lane i differ by e = c2 - c1 + delta, in [1 - n, 2n - 1], when
+    (r1 - i) % n < n - delta and by e - n in the other lanes (both kinds
+    exist), while agreeing values make e 0 or n.  So counts are exact
+    while the dotting is proper, the OR loses a bit once it is not, and
+    ``is_proper`` is one ``bit_count``, which sees any earlier collision
+    as bits only grow.
+
+    The column search leaves bit b of lane h clear at the chosen b, and
+    bit 1 of lane h is row h's own, so a new dot can collide only with
+    one at bit b + n of lane h, b <= n.  That this bit is clear has no
+    proof from the ascending-label order and was never seen set; the
+    final ``is_proper`` check keeps an improper dotting from being
+    returned.
 
     ``place``, ``d`` and ``first_undotted`` are O(1) operations on ints
     of at most n(2n+1) bits, so a retrieval run with E conditions is
     O(n + E) of them, and O(n log n) more in its column searches.
     """
 
-    __slots__ = ("n", "cols", "lanes", "carries", "free", "comb")
+    __slots__ = ("n", "cols", "lanes", "free", "comb")
 
     def __init__(self, n: int, cols: dict[int, int] | None = None):
         self.n = n
         self.cols: dict[int, int] = {}  # row residue -> column
         self.lanes = 0
-        self.carries: list[int] = []
         self.free = (2 << n) - 2
         self.comb = _comb(n)
         for row, col in (cols or {}).items():
@@ -154,14 +166,7 @@ class ProperDotting:
         n, comb = self.n, self.comb
         head = comb >> 2 * n * (n - row)  # S(row)
         v = row + col - 1
-        bits = head << v | (comb ^ head) << v + n
-        carry = self.lanes & bits
-        self.lanes ^= bits
-        carries = self.carries
-        for k, plane in enumerate(carries):  # none while the dotting is proper
-            carries[k], carry = plane ^ carry, plane & carry
-        if carry:
-            carries.append(carry)
+        self.lanes |= head << v | (comb ^ head) << v + n
 
     def first_undotted(self, i: int) -> int:
         """The first undotted row from row i on, cyclically; one must exist."""
@@ -172,8 +177,8 @@ class ProperDotting:
         return [h for h in range(1, self.n + 1) if h not in self.cols]
 
     def is_proper(self) -> bool:
-        diags = [(row + col) % self.n for row, col in self.cols.items()]
-        return len(set(diags)) == len(diags)
+        """No two dots agree mod n: no lane bit was set twice."""
+        return self.lanes.bit_count() == self.n * len(self.cols)
 
     def d(self, sq: Square) -> int:
         """Dots in the triangle T at ``sq`` = (i, m), 1 <= i <= n, 0 <= m <= 2n+1.
@@ -182,17 +187,13 @@ class ProperDotting:
         c + (h - i) % n <= m.  A square belongs to T when some lift of
         its row meets the column bound of that lift; the lowest lift,
         t = (h - i) % n, gives the weakest bound, and as c >= 1 the
-        predicate already forces t < min(m, n).  So d counts bits 0..m
-        of lane i: one shift, one mask and one ``bit_count`` per plane.
+        predicate already forces t < min(m, n).  So, while the dotting
+        is proper, d is the number of bits 0..m of lane i set: one shift,
+        one mask and one ``bit_count``.
         """
         i, m = sq
-        shift = (i - 1) * (2 * self.n + 1)
         mask = (2 << m) - 1  # bit 2n + 1 is the next lane's bit 0, always clear
-        count = (self.lanes >> shift & mask).bit_count()
-        if self.carries:
-            for k, plane in enumerate(self.carries, 1):
-                count += (plane >> shift & mask).bit_count() << k
-        return count
+        return (self.lanes >> (i - 1) * (2 * self.n + 1) & mask).bit_count()
 
     def window(self) -> list[int]:
         return [h + self.cols[h] - 1 for h in range(1, self.n + 1)]
@@ -226,23 +227,13 @@ def replay_trace(n: int, events: Iterable[TraceEvent]) -> BoundedAffinePermutati
 def _min_col_with_dependency(dotting: ProperDotting, h: int, r: int) -> int | None:
     """Least column b in [1, n+1] with b - 1 - d(h, b) = r, if any.
 
-    While no bit counts two dots, bits 1..b of lane h hold d(h, b) ones
+    While the dotting is proper, bits 1..b of lane h hold d(h, b) ones
     and b - d(h, b) zeros, so b - 1 - d(h, b) rises by 0 or 1 per column
     and b is the (r+1)-th zero of lane h in bits 1..n+1: a bisection on
-    ``bit_count`` over the ones' count, O(log n) int operations.  After
-    a carry the planes are summed bit by bit, in O(n).
+    ``bit_count`` over the ones' count, O(log n) int operations.
     """
     n = dotting.n
-    shift = (h - 1) * (2 * n + 1)
-    if dotting.carries:  # some bit counts two dots or more
-        lane = [plane >> shift for plane in (dotting.lanes, *dotting.carries)]
-        deps = 0
-        for b in range(1, n + 2):
-            deps += sum([(plane >> b & 1) << k for k, plane in enumerate(lane)])
-            if b - 1 - deps == r:
-                return b
-        return None
-    ones = dotting.lanes >> shift & (1 << n + 2) - 1  # bits 0..n+1; bit 0 is clear
+    ones = dotting.lanes >> (h - 1) * (2 * n + 1) & (1 << n + 2) - 1  # bit 0 is clear
     want = r + 1
     if want <= 0:  # no zero before b: only b = 1 on a dot, for r = -1
         return 1 if want == 0 and ones & 2 else None

@@ -91,7 +91,14 @@ class TestDottingCounters:
         for _ in range(3000):
             n = rng.randint(1, 10)
             rows = rng.sample(range(1, n + 1), rng.randint(0, n))
-            dotting = ProperDotting(n, {row: rng.randint(1, n + 1) for row in rows})
+            # a proper partial dotting: values row + c - 1 on distinct residues,
+            # c in [1, n+1], column n + 1 in place of column 1 half the time
+            cols = {}
+            for row, v in zip(rows, rng.sample(range(n), len(rows))):
+                c = (v - row) % n + 1
+                cols[row] = c + n if c == 1 and rng.random() < 0.5 else c
+            dotting = ProperDotting(n, cols)
+            assert dotting.is_proper()
             h = rng.randint(1, n)
             for b in range(0, n + 2):
                 assert dotting.d((h, b)) == d_by_lifts(dotting, h, b)
@@ -114,13 +121,14 @@ class TestDottingCounters:
 
 class TestLanesAgainstScan:
     """``ProperDotting``'s bit-parallel lanes and ``retrieve`` against the
-    scan reference: every count, column and outcome agrees."""
+    scan reference: properness, every count and column of a proper
+    dotting, and every outcome agree."""
 
     @staticmethod
     def improper_dottings(seed=24, count=400):
         """Seeded partial dottings with n <= 40 whose values repeat a few
-        residues, so that bits count several dots and carry; each comes
-        with the dots in placement order."""
+        residues, so that most become improper part way; each comes with
+        the dots in placement order."""
         rng = random.Random(seed)
         for _ in range(count):
             n = rng.randint(1, 40)
@@ -134,25 +142,30 @@ class TestLanesAgainstScan:
             yield n, dots
 
     def test_improper_dottings_counted_exactly(self):
+        # is_proper's popcount against the scan's residue check after every
+        # dot; while proper, every count and column against the scan's
         rng = random.Random(40)
-        deepest = 0
+        improper = 0
         for n, dots in self.improper_dottings():
             placed = ProperDotting(n)
+            scan = retrieval_reference.ScanDotting(n)
             for row, col in dots:
                 placed.place(row, col)
-            scan = retrieval_reference.ScanDotting(n, dict(dots))
-            deepest = max(deepest, len(placed.carries))
-            assert scan.is_proper() == (not placed.carries)  # values apart mod n
-            for dotting in (placed, ProperDotting(n, dict(dots))):
-                assert dotting.cols == scan.cols
+                scan.place(row, col)
+                assert placed.is_proper() == scan.is_proper(), (n, dots, row)
+                if not scan.is_proper():
+                    continue
                 for h in rng.sample(range(1, n + 1), min(n, 3)):
                     for m in range(0, 2 * n + 2):
-                        assert dotting.d((h, m)) == scan.d((h, m)), (n, dots, h, m)
+                        assert placed.d((h, m)) == scan.d((h, m)), (n, dots, h, m)
                     for r in range(-1, n + 2):
                         assert retrieval._min_col_with_dependency(
-                            dotting, h, r
+                            placed, h, r
                         ) == retrieval_reference.min_col_by_tally(scan, h, r), (n, dots, h, r)
-        assert deepest >= 3  # some bit counted four dots or more
+            assert placed.cols == scan.cols
+            assert ProperDotting(n, dict(dots)).is_proper() == scan.is_proper()
+            improper += not scan.is_proper()
+        assert improper == 333  # of 400: the detector fires on most of them
 
     @staticmethod
     def outcome(retrieve_fn, C):
@@ -164,7 +177,9 @@ class TestLanesAgainstScan:
         return result, [ev.to_json() for ev in trace]
 
     def assert_same(self, C):
-        assert self.outcome(retrieve, C) == self.outcome(retrieval_reference.retrieve, C), C
+        got = self.outcome(retrieve, C)
+        assert got == self.outcome(retrieval_reference.retrieve, C), C
+        return got
 
     def test_every_labeling_up_to_two(self):
         for n in (1, 2):
@@ -187,6 +202,25 @@ class TestLanesAgainstScan:
             self.assert_same(
                 RankConditionSet(n, tuple((r, sq) for sq, r in sorted(conds.items())))
             )
+
+    def test_dense_labelings(self):
+        # up to n^2 squares at n = 3-6, any label in [0, n]: where two dots
+        # on one diagonal, if any run placed them, would be likeliest
+        rng = random.Random(26)
+        kinds = set()
+        for _ in range(40000):
+            n = rng.randint(3, 6)
+            conds = {(1, n): rng.randint(0, n)}
+            for _ in range(rng.randint(0, n * n)):
+                conds[rng.randint(1, n), rng.randint(1, n)] = rng.randint(0, n)
+            result, _ = self.assert_same(
+                RankConditionSet(n, tuple((r, sq) for sq, r in sorted(conds.items())))
+            )
+            kinds.add(result[0] if isinstance(result[0], str) else "success")
+        assert kinds == {
+            "success", retrieval.NON_MAXIMAL_LABEL, retrieval.ROW_OVERFLOW,
+            retrieval.RANK_MISMATCH,
+        }
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_criterion_08_families(self, n):
