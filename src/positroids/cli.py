@@ -60,18 +60,21 @@ def _read_json(path: str) -> dict:
         raise _Malformed(f"invalid JSON: {e}")
 
 
-def _load_permutation(obj: dict) -> BoundedAffinePermutation:
+def _parsed(what: str, parse, arg):
+    """``parse(arg)``, an error of a malformed document raised as
+    ``_Malformed`` with "bad <what>: " before its message."""
     try:
-        return BoundedAffinePermutation.from_json(obj)
-    except (KeyError, TypeError, ValueError) as e:
-        raise _Malformed(f"bad permutation: {e}")
+        return parse(arg)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise _Malformed(f"bad {what}: {e}")
+
+
+def _load_permutation(obj: dict) -> BoundedAffinePermutation:
+    return _parsed("permutation", BoundedAffinePermutation.from_json, obj)
 
 
 def _load_family(obj: dict) -> essential.RankedEssentialFamily:
-    try:
-        return essential.RankedEssentialFamily.from_json(obj)
-    except (KeyError, TypeError, ValueError) as e:
-        raise _Malformed(f"bad family: {e}")
+    return _parsed("family", essential.RankedEssentialFamily.from_json, obj)
 
 
 def _load_perm_or_family(obj: dict):
@@ -152,11 +155,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    obj = _read_json(args.input)
-    try:
-        conditions = retrieval.RankConditionSet.from_json(obj)
-    except (KeyError, TypeError, ValueError) as e:
-        raise _Malformed(f"bad conditions: {e}")
+    conditions = _parsed("conditions", retrieval.RankConditionSet.from_json,
+                         _read_json(args.input))
     try:
         if args.trace:
             perm, trace = retrieval.retrieve(conditions, trace=True)
@@ -221,10 +221,9 @@ def _cmd_bases(args) -> int:
 
 
 def _cmd_from_matrix(args) -> int:
-    try:
-        matrix = realize.RationalMatrix.from_json(_read_json(args.input))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise _Malformed(f"bad matrix: {e}")
+    # the document is read inside: an undecodable file is a bad matrix
+    matrix = _parsed("matrix", lambda path: realize.RationalMatrix.from_json(_read_json(path)),
+                     args.input)
     perm = realize.permutation_from_matrix(matrix)
     _print_window(args.format, perm.n, perm.window)
     return EXIT_OK

@@ -22,7 +22,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -144,18 +145,6 @@ class BoundedAffinePermutation:
 
     n: int
     window: tuple[int, ...]
-    _inv: tuple[tuple[int, int], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-    _rows: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        inv = [None] * self.n
-        for i, v in enumerate(self.window, start=1):
-            inv[v % self.n] = (i, v)
-        object.__setattr__(self, "_inv", tuple(inv))
 
     @classmethod
     def from_window(cls, values: Iterable[int]) -> "BoundedAffinePermutation":
@@ -186,45 +175,58 @@ class BoundedAffinePermutation:
         r = residue(i, self.n)
         return self.window[r - 1] + (i - r)
 
+    @functools.cached_property
+    def _inv(self) -> tuple[tuple[int, int], ...]:
+        """(i, pi(i)) for each i in [1, n], at index pi(i) mod n."""
+        inv = [None] * self.n
+        for i, v in enumerate(self.window, start=1):
+            inv[v % self.n] = (i, v)
+        return tuple(inv)
+
     def inverse_at(self, j: int) -> int:
         """The unique integer i with pi(i) = j."""
         pos, val = self._inv[j % self.n]
         return pos + (j - val)
 
-    def ranks_from(self, start: int) -> tuple[int, ...]:
-        """The ranks of the cyclic intervals from ``start``: entry ln is the
-        rank of the interval of length ln (0 to n).  Built on first use in
-        one O(n) sweep and kept.
+    @functools.cached_property
+    def row_sets(self) -> tuple[int, ...]:
+        """S_1, ..., S_n, each S_i = {j >= i : pi^{-1}(j) < i} as bit
+        j - i of an int: the only table of interval ranks, as the rank of
+        [i, j] counts S_i up to j.  Built on first use in one sweep.
 
-        The sweep extends the interval to its end e.  That adds 1 when
-        pi(e) > e and takes 1 away when inverse_at(e) lies in [start, e);
-        together, it adds 1 exactly when inverse_at(e) < start, that is
-        when e - inverse_at(e) >= ln.
+        One int ``live`` holds bit pi(l) + n for every position l in
+        [1 - n, i - 1], so S_i is ``live >> (i + n)``: each l < i with
+        pi(l) >= i is at least i - n, as pi(l) <= l + n, and no member of
+        S_i reaches i + n.  Going to row i + 1 sets one bit, pi(i) + n, on
+        an int of about 3n bits.
+        """
+        n = self.n
+        live = sum([1 << v for v in self.window])  # l in [1 - n, 0]: pi(l) + n = pi(l + n)
+        rows = []
+        for i, v in enumerate(self.window, 1):
+            rows.append(live >> i + n)
+            live |= 1 << v + n
+        return tuple(rows)
+
+    def rank_at(self, start: int, length: int) -> int:
+        """The rank of the cyclic interval of ``length`` elements from
+        ``start``, any integer read as its residue; a length of n or more
+        is the full set's rank.
 
         >>> p = BoundedAffinePermutation.from_window([3, 4, 8, 7, 6, 9, 10, 13])
-        >>> p.ranks_from(5)  # [5], [5, 6], ..., [5, 4]
-        (0, 1, 1, 2, 3, 3, 3, 3, 3)
+        >>> [p.rank_at(5, ln) for ln in range(9)]  # [5], [5, 6], ..., [5, 4]
+        [0, 1, 1, 2, 3, 3, 3, 3, 3]
         """
-        row = self._rows.get(start)
-        if row is None:
-            inv, n = self._inv, self.n
-            ranks = [0]
-            rank = 0
-            for ln in range(1, n + 1):
-                pos, val = inv[(start + ln - 1) % n]
-                rank += val - pos >= ln
-                ranks.append(rank)
-            row = self._rows[start] = tuple(ranks)
-        return row
+        return (self.row_sets[(start - 1) % self.n] & (1 << length) - 1).bit_count()
 
     def rank_interval(self, interval: CyclicInterval) -> int:
         """Number of l in the interval with pi(l) beyond its right endpoint."""
         if interval.n != self.n:
             raise ValueError("interval ground set does not match permutation")
-        return self.ranks_from(interval.start)[interval.length]
+        return self.rank_at(interval.start, interval.length)
 
     def rank(self) -> int:
-        """The mean of pi(i) - i over the window, with no rank row built."""
+        """The mean of pi(i) - i over the window, with no row set built."""
         n = self.n
         return (sum(self.window) - n * (n + 1) // 2) // n
 

@@ -46,34 +46,19 @@ def corners(p: BoundedAffinePermutation) -> list[Square]:
     return [(i, m) for i, m, _ in _ranked_corners(p)]
 
 
-def _rows(p: BoundedAffinePermutation):
-    """For each row i in [1, n]: i, pi(i) and the row's set
-    S_i = {j >= i : pi^{-1}(j) < i}, as bit j - i of an int.
-
-    One int ``live`` holds bit pi(l) + n for every position l in
-    [1 - n, i - 1], so S_i is ``live >> (i + n)``: each l < i with
-    pi(l) >= i is at least i - n, as pi(l) <= l + n.  Going to row i + 1
-    sets one bit, pi(i) + n, on an int of about 3n bits.
-    """
-    n, window = p.n, p.window
-    live = sum([1 << v for v in window])  # positions 1 - n to 0: pi(l) + n = pi(l + n)
-    for i, v in enumerate(window, 1):
-        yield i, v, live >> i + n
-        live |= 1 << v + n
-
-
 def _ranked_corners(p: BoundedAffinePermutation) -> list[tuple[int, int, int]]:
-    """Each corner (i, m) with the rank of [i, i + m - 1], off row i's set.
+    """Each corner (i, m) with the rank of [i, i + m - 1], off row i's set
+    S_i in ``p.row_sets``.
 
     In ``corners``' terms, [i, j] is a corner iff j is not in S_i, j + 1
     is, and pi(i) <= j < pi(i - 1): a rising edge of S_i at bit
     m = j + 1 - i, with pi(i) - i < m <= pi(i - 1) - i.  As in
-    ``ranks_from``, the rank of [i, j] counts S_i up to j, the bits below
+    ``rank_at``, the rank of [i, j] counts S_i up to j, the bits below
     the edge.  So it is O(n + E) int operations for E corners.
     """
     out = []
     prev = p.window[-1] - p.n  # pi(i - 1)
-    for i, v, row in _rows(p):
+    for i, (v, row) in enumerate(zip(p.window, p.row_sets), 1):
         if v < prev:
             edges = row & ~(row << 1) & (1 << prev - i + 1) - (1 << v - i + 1)
             while edges:
@@ -109,7 +94,7 @@ def render(p: BoundedAffinePermutation) -> str:
     n = p.n
     width = len(str(n + 1))
     lines = [" " * (width + 1) + " ".join(f"{c:>{width}}" for c in range(1, n + 2))]
-    for i, v, row in _rows(p):
+    for i, (v, row) in enumerate(zip(p.window, p.row_sets), 1):
         dot = v - i  # the dot's column, 0-based like c
         cells = [
             "o" if c == dot else "#" if c < dot or row >> c & 1 else "."

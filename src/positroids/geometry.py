@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BoundedAffinePermutation, CyclicInterval
-from .diagram import _rows, ranked_essential_family
+from .diagram import ranked_essential_family
 from .essential import RankedEssentialFamily, connected_entries, excess
 
 
@@ -49,10 +49,11 @@ def length(p: BoundedAffinePermutation) -> int:
 
     Shifted by multiples of n, these are the pairs with j in [n] and
     j - n <= i < j.  For each j the values pi(i) of those i that exceed
-    pi(j) are the members of row j's set ``diagram._rows`` above pi(j).
-    So it is O(n) int operations, with no ``eval`` call.
+    pi(j) are the members of row j's set S_j in ``p.row_sets`` above
+    pi(j).  So it is O(n) int operations, with no ``eval`` call.
     """
-    return sum([(row >> v - j + 1).bit_count() for j, v, row in _rows(p)])
+    return sum([(row >> v - j + 1).bit_count()
+                for j, (v, row) in enumerate(zip(p.window, p.row_sets), 1)])
 
 
 def codim_from_family(family: RankedEssentialFamily) -> int:

@@ -54,7 +54,7 @@ class RationalMatrix:
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         """Column j for j in [1, n]."""
-        return tuple(row[j - 1] for row in self.entries)
+        return tuple([row[j - 1] for row in self.entries])
 
     def to_json(self) -> dict:
         return {
@@ -65,13 +65,13 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "RationalMatrix":
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        entries = tuple([tuple([Fraction(x) for x in row]) for row in rows])
         return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
         rows = json_array(obj["entries"])
-        entries = tuple(tuple(_entry(str(x)) for x in json_array(row)) for row in rows)
+        entries = tuple([tuple([_entry(str(x)) for x in json_array(row)]) for row in rows])
         return cls(json_int(obj["k"]), json_int(obj["n"]), entries)
 
 

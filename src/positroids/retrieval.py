@@ -101,10 +101,10 @@ class RankConditionSet:
     @classmethod
     def from_json(cls, obj: dict) -> "RankConditionSet":
         n = json_int(obj["n"])
-        conds = tuple(
+        conds = tuple([
             (json_int(c["rank"]), (json_int(c["start"]), json_int(c["len"])))
             for c in json_array(obj["conditions"])
-        )
+        ])
         return cls(n, conds)
 
 
@@ -315,7 +315,7 @@ def retrieve(
     ordered = sorted(conditions.conditions)  # by label, then row, then column
     perm = _dotted(conditions.n, k, ordered, log)
     for r, (i, j) in ordered:
-        got = perm.ranks_from(i)[j]
+        got = perm.rank_at(i, j)
         if got != r:
             _fail(log, RANK_MISMATCH, row=i, col=j, expected=r, actual=got)
     return (perm, log) if trace else perm
@@ -327,7 +327,7 @@ def verify_conditions(
     """True iff the permutation satisfies every rank condition exactly."""
     if conditions.n != p.n:
         raise ValueError("interval ground set does not match permutation")
-    return all(p.ranks_from(i)[j] == r for r, (i, j) in conditions.conditions)
+    return all(p.rank_at(i, j) == r for r, (i, j) in conditions.conditions)
 
 
 def conditions_from_family(family) -> RankConditionSet:

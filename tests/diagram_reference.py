@@ -150,7 +150,7 @@ def is_white(p: BoundedAffinePermutation, row: int, col: int) -> bool:
 
 def ranked_corners_by_walk(p: BoundedAffinePermutation) -> list[tuple[int, int, int]]:
     """Each corner (i, m) with the rank of [i, i + m - 1], by one walk
-    over every candidate of every row: as in ``ranks_from``, the rank of
+    over every candidate of every row: as in ``rank_at``, the rank of
     [i, j] counts the j' <= j with pi^{-1}(j') < i, which the walk reads
     off the inverse table."""
     n, inv = p.n, p._inv

@@ -5,7 +5,7 @@ The dual of the positroid of a bounded affine permutation pi on [n] has
 the window pi*(i) = pi^{-1}(i) + n.  Its rank is n - k, and every subset
 S has rank*(S) = |S| - k + rank(S^c).  No library route needs the dual
 yet, so it stays here, where the tests check it against the permutation's
-own rank rows.
+own row sets.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def retrieve(conditions: RankConditionSet, trace: bool = False):
     ordered = sorted(conditions.conditions)
     perm = dotted(conditions.n, k, ordered, log)
     for r, (i, j) in ordered:
-        got = perm.ranks_from(i)[j]
+        got = perm.rank_at(i, j)
         if got != r:
             _fail(log, RANK_MISMATCH, row=i, col=j, expected=r, actual=got)
     return (perm, log) if trace else perm

@@ -160,23 +160,39 @@ class TestRank:
 
         rng = random.Random(n)
         for p in enumerate_permutations(n):
-            table = [p.ranks_from(c) for c in range(1, n + 1)]
-            assert len(table) == n
+            # each row set is S_i = {j >= i : pi^{-1}(j) < i}, read off the inverse
+            assert len(p.row_sets) == n
+            for i, row in enumerate(p.row_sets, start=1):
+                assert row == sum(
+                    [1 << j - i for j in range(i, i + 2 * n) if p.inverse_at(j) < i]
+                ), (p, i)
+            table = [
+                tuple([p.rank_at(c, ln) for ln in range(n + 1)]) for c in range(1, n + 1)
+            ]
             for start, row in enumerate(table, start=1):
                 assert row == tuple(
                     [counted(p, start, start + ln - 1) for ln in range(n + 1)]
                 ), (p, start)
             assert p.rank() == sum(1 for i in range(1, n + 1) if p.eval(i) > n)
-            # rows fetched in any start order are the rows of a fresh copy
+            # a start is read as its residue: 0, n + 1 and -n as n, 1 and n
+            for lift, start in ((0, n), (n + 1, 1), (-n, n)):
+                assert [p.rank_at(lift, ln) for ln in range(n + 1)] == list(table[start - 1])
+            # a length above n reads the full set
+            assert p.rank_at(rng.randint(1, n), n + rng.randint(1, 2 * n)) == p.rank()
+            with pytest.raises(ValueError):
+                p.rank_at(1, -1)
+            # ranks read in any start order are the ranks of a fresh copy
             fresh = BoundedAffinePermutation(n, p.window)
             starts = list(range(1, n + 1))
             rng.shuffle(starts)
             for start in starts:
-                assert fresh.ranks_from(start) == table[start - 1]
+                length = rng.randint(0, n)
+                assert fresh.rank_at(start, length) == table[start - 1][length]
                 length = rng.randint(1, n)
                 assert fresh.rank_interval(CyclicInterval(n, start, length)) == (
                     counted(p, start, start + length - 1)
                 )
+            assert fresh.row_sets == p.row_sets
 
     def test_interval_of_another_ground_set(self, perm_a):
         with pytest.raises(ValueError, match="ground set"):
@@ -295,7 +311,7 @@ def test_json_roundtrip(perm_a):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_dual_ranks_are_complementary(n):
-    # the dual read through its own rank rows against the complements'
+    # the dual read through its own row sets against the complements'
     # ranks in the permutation's: rank*(S) = |S| - k + rank(S^c) on every
     # cyclic interval S, the empty set and the full set included
     for window in enumerate_windows(n):
@@ -305,7 +321,6 @@ def test_dual_ranks_are_complementary(n):
         assert dual(d) == p
         assert geometry.length(d) == geometry.length(p)
         for start in range(1, n + 1):
-            row = d.ranks_from(start)
             for length in range(n + 1):
-                rest = p.ranks_from(residue(start + length, n))[n - length]
-                assert row[length] == length - k + rest
+                rest = p.rank_at(residue(start + length, n), n - length)
+                assert d.rank_at(start, length) == length - k + rest

@@ -816,12 +816,20 @@ class TestPermutationFromFamily:
             F = diagram.ranked_essential_family(p)
             assert permutation_from_family(F).window == p.window
 
-    def test_ranks_checked_by_the_comparison_alone(self, family_a):
-        # the extracted family is compared with the given one, so no rank
-        # row of the permutation is built to check the conditions again
-        assert permutation_from_family(family_a)._rows == {}
+    def test_ranks_checked_by_the_comparison_alone(self, family_a, monkeypatch):
+        # the extracted family is compared with the given one, so no
+        # interval rank of the permutation is queried to check the
+        # conditions again
+        queried = []
+        rank_at = BoundedAffinePermutation.rank_at
+        monkeypatch.setattr(BoundedAffinePermutation, "rank_at",
+                            lambda p, *args: queried.append(args) or rank_at(p, *args))
+        assert permutation_from_family(family_a).window == (3, 4, 8, 7, 6, 9, 10, 13)
         dense = window_family(DENSE_WINDOW)
-        assert permutation_from_family(RankedEssentialFamily.from_json(dense.to_json()))._rows == {}
+        assert permutation_from_family(
+            RankedEssentialFamily.from_json(dense.to_json())
+        ).window == tuple(DENSE_WINDOW)
+        assert queried == []
 
     @pytest.mark.parametrize("n, k, sets, violations", [
         # two loops against a rank-1 full set; the smallest of the 15,819

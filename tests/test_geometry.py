@@ -168,14 +168,19 @@ class TestBases:
         with pytest.raises(TooLarge):
             bases(perm_a, bound=4)
 
-    def test_caps_come_from_the_family(self, perm_a):
+    def test_caps_come_from_the_family(self, perm_a, monkeypatch):
         # the caps are the essential family's entries: no interval rank
-        # row of the permutation is built
+        # of the permutation is queried
         rng = random.Random("bases:rows")
-        for p in (perm_a, reference.random_permutation(rng, 14)):
-            fresh = BoundedAffinePermutation(p.n, p.window)
-            assert bases(fresh) == bases_by_scan(diagram.ranked_essential_family(p))
-            assert fresh._rows == {}
+        perms = (perm_a, reference.random_permutation(rng, 14))
+        expected = [bases_by_scan(diagram.ranked_essential_family(p)) for p in perms]
+        queried = []
+        rank_at = BoundedAffinePermutation.rank_at
+        monkeypatch.setattr(BoundedAffinePermutation, "rank_at",
+                            lambda p, *args: queried.append(args) or rank_at(p, *args))
+        for p, found in zip(perms, expected):
+            assert bases(BoundedAffinePermutation(p.n, p.window)) == found
+        assert queried == []
 
 
 def _assert_matches_scan(p):

@@ -195,7 +195,7 @@ class TestLanesAgainstScan:
             conds = {(1, n): p.rank()}
             for _ in range(rng.randint(0, 2 * n)):
                 i, j = rng.randint(1, n), rng.randint(1, n)
-                conds[i, j] = p.ranks_from(i)[j]
+                conds[i, j] = p.rank_at(i, j)
             if rng.random() < 0.6:
                 sq = rng.choice(sorted(conds))
                 conds[sq] = max(0, conds[sq] + rng.choice((-1, 1)))
@@ -331,6 +331,21 @@ class TestErrors:
                 RankConditionSet(2, ((0, (2, 1)), (0, (2, 2)), (1, (1, 2))))
             )
         assert exc.value.kind == "RankMismatch"
+
+    def test_not_proper(self, monkeypatch):
+        # no known input places two dots on one diagonal, so a column
+        # search that does stands in for one: rows 1 and 2 both get the
+        # value 2, and the final check must refuse the window [2, 2]
+        monkeypatch.setattr(retrieval, "_min_col_with_dependency",
+                            lambda dotting, h, r: {1: 2, 2: 1}[h])
+        with pytest.raises(InvalidInput) as exc:
+            retrieve(RankConditionSet(2, ((1, (1, 2)),)), trace=True)
+        assert exc.value.kind == retrieval.NOT_PROPER
+        assert [event.to_json() for event in exc.value.trace][-3:] == [
+            {"event": "dot_placed", "row": 1, "col": 2},
+            {"event": "row_filled", "row": 2, "col": 1},
+            {"event": "error", "kind": "NotProper"},
+        ]
 
     def test_error_carries_trace(self):
         with pytest.raises(InvalidInput) as exc:
@@ -485,7 +500,7 @@ class Positroids:
         self.squares = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         self.full = self.squares.index((1, n))
         self.tables = [
-            tuple([p.ranks_from(i)[j] for i, j in self.squares]) for p in self.perms
+            tuple([p.rank_at(i, j) for i, j in self.squares]) for p in self.perms
         ]
         self.cores = [
             set(core_conditions(diagram.ranked_essential_family(p)).conditions)
@@ -515,7 +530,7 @@ class Positroids:
         except InvalidInput:
             assert not inside, (b, conditions)
             return False, False, False
-        top = [out.ranks_from(i)[j] for i, j in self.squares]
+        top = [out.rank_at(i, j) for i, j in self.squares]
         maximal = all([all(map(ge, top, self.tables[m])) for m in members])
         if inside:
             (q,) = inside  # a core pins its positroid among those meeting it
