@@ -85,35 +85,40 @@ def _load_perm_or_family(obj: dict):
     raise _Malformed("expected a permutation ('window') or a family ('sets')")
 
 
-def _annotated_family_json(family, with_excess, with_core, with_connected) -> dict:
-    """The family's JSON, annotated from excess values and connected
-    flags aligned with its triples, so nothing is looked up and no
-    interval is built."""
-    out = family.to_json()
-    if with_excess or with_core:
-        for entry_json, value in zip(out["sets"], essential.excess(family)):
-            if with_excess:
-                entry_json["excess"] = value
-            if with_core:  # the core is the entries of positive excess
-                entry_json["core"] = value > 0
-    if with_connected:
-        for entry_json, connected in zip(out["sets"], essential.connected_flags(family)):
-            entry_json["connected"] = connected
-    return out
-
-
 def _cmd_essentials(args) -> int:
     p = _load_permutation(_read_json(args.input))
     family = diagram.ranked_essential_family(p)
-    out = _annotated_family_json(family, args.excess, args.core, args.connected)
-    if args.format == "json":
-        print(json.dumps(out))
-    else:
-        for entry in out["sets"]:
-            print(" ".join(f"{key}={value}" for key, value in entry.items()))
+    print(_essentials_text(args.format, family, args.excess, args.core, args.connected))
     if args.diagram:
         print(diagram.render(p))
     return EXIT_OK
+
+
+def _essentials_text(fmt, family, with_excess, with_core, with_connected) -> str:
+    """The family, each entry annotated from the excess values and
+    connected flags aligned with its triples, so no interval is built.
+    Each entry is one ``%`` template filled from its values: in JSON,
+    byte for byte the ``json.dumps`` of ``to_json`` with the keys
+    excess, core and connected added in that order, which prints an int
+    as ``str`` does; in text, one line of key=value pairs per entry."""
+    starts, lengths, ranks = zip(*family.triples)  # never empty: the full set is there
+    columns = {"rank": ranks, "start": starts, "len": lengths}
+    words = ("false", "true") if fmt == "json" else ("False", "True")
+    if with_excess or with_core:
+        values = essential.excess(family)
+        if with_excess:
+            columns["excess"] = values
+        if with_core:  # the core is the entries of positive excess
+            columns["core"] = [words[value > 0] for value in values]
+    if with_connected:
+        columns["connected"] = [words[flag] for flag in essential.connected_flags(family)]
+    rows = zip(*columns.values())
+    if fmt == "json":
+        template = "{" + ", ".join(['"%s": %%s' % key for key in columns]) + "}"
+        sets = ", ".join([template % row for row in rows])
+        return '{"n": %d, "k": %d, "sets": [%s]}' % (family.n, family.k, sets)
+    template = " ".join(["%s=%%s" % key for key in columns])
+    return "\n".join([template % row for row in rows])
 
 
 def _cmd_diagram(args) -> int:

@@ -47,6 +47,8 @@ class NotBijective(ValueError):
 def json_int(value) -> int:
     """An integer read from parsed JSON; floats, bools and strings are
     refused rather than truncated or parsed."""
+    if type(value) is int:  # what json.loads gives; a subclass is checked below
+        return value
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"expected an integer, got {value!r}")
     return value.__index__()

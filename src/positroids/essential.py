@@ -257,51 +257,66 @@ def excess(family: RankedEssentialFamily) -> tuple[int, ...]:
     other proper entry.  The values come as a tuple in the family's entry
     order, aligned with its ``triples`` and ``entries``.
 
+    >>> from positroids.diagram import ranked_essential_family
+    >>> p = BoundedAffinePermutation.from_window([3, 4, 8, 7, 6, 9, 10, 13])
+    >>> F = ranked_essential_family(p)
+    >>> F.triples, excess(F)
+    (((1, 4, 2), (1, 8, 3), (4, 4, 2), (5, 2, 1)), (2, 2, 1, 1))
+
     One sweep along the doubled line [0, 2n) computes them.  A proper
     entry is the copy [s, s + |I|) and its copy n on, and every entry
-    inside I has a copy inside I's first.  Taken by end, then by start
-    from the right, each copy comes after the copies inside it, and a
-    Fenwick tree over starts sums the excesses of those taken that start
-    no earlier.  Taken by start, then by end from the right, a copy that
-    ends within the reach of those before it lies inside one of them, so
-    its entry is not maximal.  So it is O((n + E) log n) for E entries.
+    inside I has a copy inside I's first.  One pass over the triples
+    from the right buckets the first copies by end, each bucket's starts
+    descending, and keeps each start's longest entry.  Walked by end,
+    the second copies ending there before the first, each copy comes
+    after the copies inside it.  A second copy starts at n or later, so
+    it lies inside every first copy taken after it, and a running sum
+    holds those; a Fenwick tree over the first copies' starts sums the
+    excesses of those taken that start no earlier.  Walked by start, a
+    start's longest copy that ends within the reach of those before it
+    lies inside one of them, and so do the shorter ones from its start,
+    so their entries are not maximal.  So it is O((n + E) log n) for E
+    entries, and nothing is sorted.
     """
     n = family.n
     triples = family.triples
     values = [0] * len(triples)
-    size = 2 * n
-    # each proper entry's two copies, as (end, size - start, index) and
-    # (start, -end, index), so that plain tuples sort in the sweeps' orders
-    by_end, by_start = [], []
-    for a, (start, length, _) in enumerate(triples):
+    ending = [[] for _ in range(2 * n)]  # (index, slot, nullity) of the first copies by end
+    longest = [None] * n  # (index, length) of each start's longest proper entry
+    for a in range(len(triples) - 1, -1, -1):  # starts descending, longest first
+        start, length, r = triples[a]
         if length == n:
             full = a
         else:
-            start -= 1
-            end = start + length
-            by_end += [(end, size - start, a), (end + n, n - start, a)]
-            by_start += [(start, -end, a), (start + n, -end - n, a)]
-    tree = [0] * (size + 1)  # a start s at size - s, so a prefix holds the starts from s on
-    for _, slot, a in sorted(by_end):
-        if slot > n:  # the first copy: every copy inside it is in the tree
-            held, i = 0, slot
+            ending[start - 1 + length].append((a, n + 1 - start, length - r))
+            if longest[start - 1] is None:
+                longest[start - 1] = (a, length)
+    tree = [0] * (n + 1)  # a start s at n - s, so a prefix holds the starts from s on
+    wrapped = 0  # the excesses of the second copies taken
+    for end in range(1, 2 * n - 1):
+        if end > n:  # the second copies ending here, n on from the first
+            wrapped += sum([values[a] for a, _, _ in ending[end - n]])
+        for a, slot, nullity in ending[end]:  # every copy inside it is taken
+            held, i = wrapped, slot
             while i:
                 held += tree[i]
                 i &= i - 1
-            _, length, r = triples[a]
-            values[a] = length - r - held
-        i = slot
-        while i <= size:
-            tree[i] += values[a]
-            i += i & -i
-    nested, reach = set(), 0  # reach: the furthest end so far, negated as the ends are
-    for _, end, a in sorted(by_start):
-        if end >= reach:
-            nested.add(a)
-        reach = min(reach, end)
-    # the full set's own value is still 0 here
+            values[a] = value = nullity - held
+            i = slot
+            while i <= n:
+                tree[i] += value
+                i += i & -i
+    # the full set subtracts the entries inside no other proper entry
+    inside, reach = set(), 0  # reach: the furthest end of a copy so far
+    for start, top in enumerate(longest + longest):
+        if top is not None:
+            a, length = top
+            if start + length <= reach:
+                inside.add(a)
+            else:
+                reach = start + length
     values[full] = n - triples[full][2] - sum([
-        value for a, value in enumerate(values) if a not in nested
+        values[top[0]] for top in longest if top is not None and top[0] not in inside
     ])
     return tuple(values)
 

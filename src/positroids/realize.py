@@ -10,6 +10,7 @@ appears anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,18 @@ class RationalMatrix:
         """Column j for j in [1, n]."""
         return tuple([row[j - 1] for row in self.entries])
 
+    @functools.cached_property
+    def integer_columns(self) -> list[list[int]]:
+        """Each column times the positive lcm of its denominators, which
+        keeps every span and the sign of every minor; scaled once per
+        matrix, for the necklace and the minor signs alike."""
+        out = []
+        for j in range(1, self.n + 1):
+            col = self.column(j)
+            scale = lcm(*(x.denominator for x in col))
+            out.append([x.numerator * (scale // x.denominator) for x in col])
+        return out
+
     def to_json(self) -> dict:
         return {
             "k": self.k,
@@ -84,17 +97,6 @@ def _entry(text: str) -> Fraction:
             f"decimal exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
         )
     return Fraction(text)
-
-
-def _integer_columns(matrix: RationalMatrix) -> list[list[int]]:
-    """Each column times the positive lcm of its denominators, which keeps
-    every span and the sign of every minor."""
-    out = []
-    for j in range(1, matrix.n + 1):
-        col = matrix.column(j)
-        scale = lcm(*(x.denominator for x in col))
-        out.append([x.numerator * (scale // x.denominator) for x in col])
-    return out
 
 
 def _eliminate(vectors: Iterable[list[int]]) -> Iterator[tuple[int, int] | None]:
@@ -141,7 +143,7 @@ def _minor_sign(cols: list[list[int]], subset: tuple[int, ...]) -> int:
 
 def is_positively_realizing(matrix: RationalMatrix) -> bool:
     """True iff every maximal minor (columns in increasing order) is >= 0."""
-    cols = _integer_columns(matrix)
+    cols = matrix.integer_columns
     return all(
         _minor_sign(cols, subset) >= 0
         for subset in combinations(range(1, matrix.n + 1), matrix.k)
@@ -162,7 +164,7 @@ def permutation_from_matrix(matrix: RationalMatrix) -> BoundedAffinePermutation:
     """
     n, k = matrix.n, matrix.k
     TooLarge.check(n, BASES_BOUND)
-    cols = _integer_columns(matrix)
+    cols = matrix.integer_columns
     necklace = [  # necklace[s] is I_{s+1}
         {(s + t) % n + 1 for t, step in enumerate(_eliminate(cols[s:] + cols[:s]))
          if step is not None}

@@ -22,7 +22,6 @@ from positroids.realize import (
     NotFullRank,
     RationalMatrix,
     _eliminate,
-    _integer_columns,
     _minor_sign,
 )
 
@@ -48,7 +47,7 @@ def bases_by_scan(family: RankedEssentialFamily) -> list[tuple[int, ...]]:
 def matroid_bases(matrix: RationalMatrix, bound: int = 12) -> list[tuple[int, ...]]:
     """Column sets with nonzero maximal minor, sorted lexicographically."""
     TooLarge.check(matrix.n, bound)
-    cols = _integer_columns(matrix)
+    cols = matrix.integer_columns
     if sum(step is not None for step in _eliminate(cols)) < matrix.k:
         raise NotFullRank("matrix does not have full row rank")
     return [

@@ -18,7 +18,6 @@ from positroids.core import BoundedAffinePermutation
 from positroids.realize import (
     RationalMatrix,
     _eliminate,
-    _integer_columns,
     is_positively_realizing,
 )
 
@@ -26,7 +25,7 @@ from positroids.realize import (
 def permutation_by_ranks(matrix: RationalMatrix) -> BoundedAffinePermutation:
     """pi by the rank rule, for a full-rank matrix."""
     n = matrix.n
-    cols = _integer_columns(matrix)
+    cols = matrix.integer_columns
 
     def rank(start: int, end: int) -> int:  # columns start, ..., end (mod n)
         run = [cols[c % n] for c in range(start - 1, min(end, start + n - 1))]

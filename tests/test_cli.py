@@ -2,12 +2,14 @@ import argparse
 import gc
 import io
 import json
+import random
 import re
 import shlex
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -17,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from positroids import cli, diagram, essential, geometry, realize
 from positroids.cli import main
-from positroids.core import BoundedAffinePermutation
+from positroids.core import BoundedAffinePermutation, enumerate_permutations
 
 import cli_corpus
 from enumeration_reference import count_permutations, windows_by_recursion
+from essentials_reference import essentials_output
 from test_core import windows
+from test_essential import oracle
 
 PERM_A = {"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13]}
 FAMILY_A = {
@@ -85,6 +89,34 @@ class TestEssentials:
         code, _, err = run(["essentials", path], capsys)
         assert code == 1
         assert "error" in err
+
+
+# every window with n <= 5, and seeded criterion-08 windows up to n = 40
+ESSENTIALS_WINDOWS = [p.window for n in range(1, 6) for p in enumerate_permutations(n)] + [
+    tuple(oracle.criterion08_window(rng, n))
+    for rng in [random.Random(20261021)] for n in range(6, 41) for _ in range(2)
+]
+
+
+class TestEssentialsBytes:
+    """``essentials`` prints the bytes of the dict and ``json.dumps`` path
+    kept in ``essentials_reference``, for every combination of flags."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("with_diagram", [False, True])
+    def test_every_flag_combination(self, tmp_path, fmt, with_diagram):
+        path = tmp_path / "p.json"
+        for window in ESSENTIALS_WINDOWS:
+            p = BoundedAffinePermutation.from_window(window)
+            path.write_text(json.dumps(p.to_json()))
+            for flags in product([False, True], repeat=3):
+                argv = ["essentials", str(path), "--format", fmt] + [
+                    flag for flag, on in zip(["--excess", "--core", "--connected"], flags) if on
+                ] + ["--diagram"] * with_diagram
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert main(argv) == 0
+                assert out.getvalue() == essentials_output(p, fmt, *flags, with_diagram)
 
 
 class TestRank:

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from positroids.core import (
     NotBijective,
     enumerate_permutations,
     enumerate_windows,
+    json_int,
     residue,
 )
 
@@ -111,6 +113,29 @@ class TestFromWindow:
     def test_bound_violation(self):
         with pytest.raises(BoundViolation):
             BoundedAffinePermutation.from_window([2, 1, 4])
+
+
+class TestJsonInt:
+    @pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "3", None, [1]])
+    def test_refused(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {value!r}")):
+            json_int(value)
+
+    def test_int_returned_as_is(self):
+        big = 10**30
+        assert json_int(big) is big
+
+    def test_subclass_and_index_read_through_index(self):
+        class Small(int):
+            pass
+
+        class Seven:
+            def __index__(self):
+                return 7
+
+        value = json_int(Small(5))
+        assert value == 5 and type(value) is int
+        assert json_int(Seven()) == 7
 
 
 class TestEval:

@@ -315,6 +315,27 @@ class TestExcessAndCore:
     def test_remark_core_drops_middle_entry(self):
         assert entry_set(core(FAMILY_C)) == {(2, (1, 3)), (2, (3, 3)), (4, (1, 6))}
 
+    @pytest.mark.parametrize("n, count", [(40, 6), (64, 4), (128, 2)])
+    def test_seeded_windows_match_the_rescan(self, n, count):
+        rng = random.Random(20261021 + n)
+        for _ in range(count):
+            F = window_family(oracle.criterion08_window(rng, n))
+            assert excess(F) == excess_by_rescan(F)
+
+    @pytest.mark.parametrize("F, values", [
+        # {5, 6, 1, 2} wraps: it holds {6}'s first copy and {1, 2}'s copy n on
+        (family(6, 4, [(2, 5, 4), (1, 1, 2), (0, 6, 1)]), (1, 2, 0, 1)),
+        # {4, 5, 6} and {6} end at element n; the wrapped {6, 1} holds {6}
+        (family(6, 3, [(1, 4, 3), (0, 6, 1), (1, 1, 2)]), (1, 1, 1, 1)),
+        (family(6, 3, [(1, 4, 3), (0, 6, 1), (1, 6, 2)]), (2, 1, 1, 0)),
+        # only nested proper entries: {3} inside {2, 3} inside {2, 3, 4}
+        (family(6, 2, [(1, 2, 3), (0, 3, 1), (1, 2, 2)]), (3, 0, 1, 1)),
+        # {1, 2} inside the wrapped {5, 6, 1, 2} only, and no other entry
+        (family(6, 2, [(2, 5, 4), (1, 1, 2)]), (1, 3, 1)),
+    ])
+    def test_bucket_edges(self, F, values):
+        assert excess(F) == excess_by_rescan(F) == values
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_conservation_on_proper_entries(self, n):
         # nullity of each proper entry splits into the excesses inside it

@@ -62,7 +62,7 @@ class TestMinorSigns:
         for _ in range(1500):
             k = rng.randint(1, 4)
             M = random_signed_matrix(rng, k, rng.randint(k, 6))
-            cols = realize._integer_columns(M)
+            cols = M.integer_columns
             for subset, det in reference_minors(M).items():
                 sign = (det > 0) - (det < 0)
                 assert realize._minor_sign(cols, subset) == sign, (M, subset)
@@ -143,6 +143,16 @@ class TestPermutationFromMatrix:
         M = RationalMatrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(NotFullRank):
             permutation_from_matrix(M)
+
+    def test_columns_scaled_once(self, perm_a, monkeypatch):
+        # the necklace and the minor-sign check read one scaling per column
+        M = RationalMatrix.from_rows(FIGURE_MATRIX.entries)  # a fresh matrix: nothing cached
+        read = []
+        column = RationalMatrix.column
+        monkeypatch.setattr(RationalMatrix, "column", lambda self, j: read.append(j) or column(self, j))
+        assert permutation_from_matrix(M) == perm_a
+        assert read == list(range(1, M.n + 1))
+        assert M.integer_columns is M.integer_columns
 
 
 class TestNecklaceAgainstRanks:
