@@ -40,6 +40,10 @@ EXIT_INVALID_INPUT = 2
 EXIT_INVALID_FAMILY = 3
 EXIT_ROUTES_DISAGREE = 4
 
+# the largest n of a family or condition document: its certificate or
+# retrieval fills a lane int of n(2n + 1) bits, so the cost grows as n^3
+DOCUMENT_BOUND = 1024
+
 
 class _Malformed(Exception):
     pass
@@ -74,7 +78,9 @@ def _load_permutation(obj: dict) -> BoundedAffinePermutation:
 
 
 def _load_family(obj: dict) -> essential.RankedEssentialFamily:
-    return _parsed("family", essential.RankedEssentialFamily.from_json, obj)
+    family = _parsed("family", essential.RankedEssentialFamily.from_json, obj)
+    geometry.TooLarge.check(family.n, DOCUMENT_BOUND)
+    return family
 
 
 def _load_perm_or_family(obj: dict):
@@ -162,6 +168,7 @@ def _cmd_rank(args) -> int:
 def _cmd_retrieve(args) -> int:
     conditions = _parsed("conditions", retrieval.RankConditionSet.from_json,
                          _read_json(args.input))
+    geometry.TooLarge.check(conditions.n, DOCUMENT_BOUND)
     try:
         if args.trace:
             perm, trace = retrieval.retrieve(conditions, trace=True)

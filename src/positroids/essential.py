@@ -179,17 +179,25 @@ def connected_flags(family: RankedEssentialFamily) -> tuple[bool, ...]:
     >>> F.triples, connected_flags(F)  # the full set's nullity 4 is 2 + 2
     (((1, 3, 1), (1, 6, 2), (4, 3, 1)), (True, False, True))
 
-    Each entry asks whether parts inside a stretch [origin, q) of the
-    doubled line [0, 2n) reach a sum of nullities.  A proper entry is the
-    part [s, s + |I|) and its copy n on, and asks from s with two or more
-    parts.  The full set splits with all parts in [1, n), or with one
-    part J0 holding element 1 and others between J0's end and its start.
-    One sweep answers every question.  Each origin owns a lane of
-    2·width bits in one int (width: the largest nullity plus 1), where
-    ``ones[q]`` holds the sums of one part inside [origin, q) and
-    ``more[q]`` of two or more; a sum shifted past a lane's lower half
-    lands in its upper half, a guard that ``cap`` clears.  So it is
-    O(n + E) operations on ints of O(origins·(n - k)) bits for E entries.
+    Each entry asks whether two or more pairwise-disjoint parts inside a
+    stretch [o, q) of the doubled line [0, 2n) reach its nullity.  A part
+    is a proper entry's copy [s, s + |I|), s in [0, n), or its copy n
+    on, and the origins o are those starts s.  A proper entry asks from
+    its own start s, up to q = s + |I|.  The full set asks from every
+    origin, up to q = o + n: pairwise-disjoint arcs on the circle lie
+    inside one turn [o, o + n) from the start o of any of them, since
+    only that arc covers o.  One sweep, up to the last origin's o + n,
+    answers every question.  Each origin owns a lane of 2·width bits in
+    one int (width: the largest nullity plus 1), where ``ones[q]`` holds
+    the sums of one part inside [o, q) and ``more[q]`` of two or more; a
+    sum shifted past a lane's lower half lands in its upper half, a guard
+    that ``cap`` clears.  So it is O(n + E) operations on ints of
+    O(origins·(n - k)) bits for E entries.
+
+    >>> p = BoundedAffinePermutation.from_window([2, 5, 4, 8, 6])
+    >>> F = ranked_essential_family(p)
+    >>> F.triples, connected_flags(F)  # the full set's 3 is 2 + 1: {5, 1, 2}, {3, 4}
+    (((1, 5, 2), (3, 2, 1), (5, 3, 1)), (False, True, True))
 
     Precondition: every proper entry has positive nullity, as on every
     family that passes the certificate; otherwise the answer is
@@ -197,53 +205,41 @@ def connected_flags(family: RankedEssentialFamily) -> tuple[bool, ...]:
     """
     n = family.n
     triples = family.triples
-    starts = [start - 1 for start, _, _ in triples]  # 0-based positions
-    lengths = [length for _, length, _ in triples]
-    nullities = [length - r for _, length, r in triples]
-    width = max(nullities) + 1  # above every sum asked for
-    if width < 2:
-        return (True,) * len(triples)  # no entry has a nullity to split
-    full = lengths.index(n)
-    target = nullities[full]
-    # the full set's questions: (origin, position, sum, whether J0 is taken)
-    splits = [(1, n, target, False)] if target > 0 else []
+    width = max([length - r for _, length, r in triples]) + 1  # above every sum asked for
     parts: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (length, nullity) by start
-    for a, (start, length, nullity) in enumerate(zip(starts, lengths, nullities)):
-        if a != full and nullity >= 0:
-            parts[start].append((length, nullity))
-            if 0 < target and nullity <= target and (start == 0 or start + length > n):
-                splits.append(((start + length) % n, start or n, target - nullity, True))
-    # lanes in the order of their origins, so the ints grow along the sweep
-    origins = sorted({s for s, group in enumerate(parts) if group} | {q[0] for q in splits})
-    lanes = {origin: lane for lane, origin in enumerate(origins)}
-
+    for start, length, r in triples:
+        if r <= length < n:
+            parts[start - 1].append((length, length - r))  # 0-based, in length order
+    origins = [s for s, group in enumerate(parts) if group]
+    if width < 2 or not origins:
+        return (True,) * len(triples)  # no entry has a nullity to split
     stride = 2 * width
-    size = max([start + length for start, length in zip(starts, lengths)])
-    opens = {origin: 1 << stride * lane for origin, lane in lanes.items()}
-    cap = ((1 << stride * len(lanes)) - 1) // ((1 << stride) - 1) * ((1 << width) - 1)
-    ones, more = [0] * (size + n), [0] * (size + n)
+    # lanes in the order of their origins, so the ints grow along the sweep
+    shifts = {origin: stride * lane for lane, origin in enumerate(origins)}
+    end = origins[-1] + n  # where the last origin's turn ends
+    opens = {origin: 1 << shift for origin, shift in shifts.items()}
+    cap = ((1 << stride * len(origins)) - 1) // ((1 << stride) - 1) * ((1 << width) - 1)
+    ones, more = [0] * (end + 1), [0] * (end + 1)
     unit = 0  # bit 0 of each lane whose origin is at most p
-    # the parts on [0, size): each from its start, and its copy n on if it fits
-    line = parts + [[(m, x) for m, x in g if s + n + m <= size] for s, g in enumerate(parts)]
-    for p in range(size):
+    line = parts + parts  # each part from its start, and its copy n on
+    for p in range(end):
         unit |= opens.get(p, 0)
         single, several = ones[p], more[p]
         either = single | several
         for length, nullity in line[p]:
+            if p + length > end:
+                break  # nothing reads past end, and the parts from p are in length order
             ones[p + length] |= unit << nullity
             more[p + length] |= either << nullity & cap
         ones[p + 1] |= single
         more[p + 1] |= several
 
     flags = [True] * len(triples)
-    for a, (start, length, nullity) in enumerate(zip(starts, lengths, nullities)):
-        if a != full and nullity > 0:
-            flags[a] = not more[start + length] >> stride * lanes[start] + nullity & 1
-    if splits:
-        flags[full] = not any([
-            (ones[q] | more[q] if taken else more[q]) >> stride * lanes[origin] + total & 1
-            for origin, q, total, taken in splits
-        ])
+    for a, (start, length, r) in enumerate(triples):
+        if length == n > r:  # the full set, from every origin
+            flags[a] = not any([more[o + n] >> shift + n - r & 1 for o, shift in shifts.items()])
+        elif length > r:
+            flags[a] = not more[start - 1 + length] >> shifts[start - 1] + length - r & 1
     return tuple(flags)
 
 

@@ -485,6 +485,35 @@ class TestStrictInput:
         assert code == 3 and out == "" and err.startswith("E1")
 
 
+class TestDocumentBound:
+    """Family and condition documents are refused above n = 1024 (exit 1)
+    before any work: the certificate and retrieval fill a lane int of
+    n(2n + 1) bits.  The library itself takes any n."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["polytope"], ["bases"], ["codim"], ["rank", "--interval", "1,2"],
+    ])
+    def test_family_above_the_bound(self, write_json, capsys, argv):
+        path = write_json("f.json", {"n": 4000, "k": 1, "sets": []})
+        assert run([argv[0], path, *argv[1:]], capsys) == (
+            1, "", "error: n=4000 exceeds bound 1024\n"
+        )
+
+    def test_conditions_above_the_bound(self, write_json, capsys):
+        path = write_json("c.json", {"n": 1025, "conditions": [
+            {"rank": 1, "start": 1, "len": 1025}]})
+        for argv in (["retrieve", path], ["retrieve", path, "--trace"]):
+            assert run(argv, capsys) == (1, "", "error: n=1025 exceeds bound 1024\n")
+
+    def test_the_bound_itself_is_read(self, write_json, capsys):
+        path = write_json("f.json", {"n": 1024, "k": 1, "sets": []})
+        assert run(["validate", path], capsys) == (0, "valid\n", "")
+        path = write_json("c.json", {"n": 1024, "conditions": [
+            {"rank": 1, "start": 1, "len": 1024}]})
+        code, out, _ = run(["retrieve", path], capsys)
+        assert code == 0 and json.loads(out)["window"] == list(range(2, 1026))
+
+
 class TestUsageErrors:
     """argparse's usage errors are malformed input: exit 1, not the 2 of
     inconsistent rank conditions, with argparse's usage and message on

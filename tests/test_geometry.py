@@ -1,5 +1,6 @@
 import json
 import random
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from positroids.core import (
     BoundedAffinePermutation,
     CyclicInterval,
     enumerate_permutations,
+    enumerate_windows,
 )
 from positroids import diagram, essential, geometry
 from positroids.geometry import (
@@ -243,6 +245,24 @@ class TestVarietyConditions:
                 assert rank_from_connected(
                     family_a, iv, connected
                 ) == essential.rank_from_family(family_a, iv)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_conditions_cut_out_the_closure(self, n):
+        # the variety claim, set-theoretically: q meets p's conditions
+        # exactly when every interval rank of q is at most p's, that is,
+        # when q's cell lies in the closure of p's
+        intervals = [(s, l) for s in range(1, n + 1) for l in range(1, n)]
+        for k in range(n + 1):
+            perms = [BoundedAffinePermutation.from_window(w) for w in enumerate_windows(n, k)]
+            ranks = [tuple([p.rank_at(s, l) for s, l in intervals]) for p in perms]
+            for p, p_ranks in zip(perms, ranks):
+                conditions = [
+                    (intervals.index((iv.start, iv.length)), r)
+                    for iv, r in facet_system(diagram.ranked_essential_family(p)).inequalities
+                ]
+                for q, q_ranks in zip(perms, ranks):
+                    meets = all([q_ranks[i] <= r for i, r in conditions])
+                    assert meets == all(map(le, q_ranks, p_ranks)), (p.window, q.window)
 
 
 class TestBoundaryCount:
