@@ -133,9 +133,23 @@ def _cmd_diagram(args) -> int:
     return EXIT_OK
 
 
+def _decimal(text: str) -> int:
+    """``int(text)`` when ``text`` is ASCII digits after an optional
+    minus sign.  ``int`` also reads '+', '_', surrounding spaces and
+    non-ASCII digits; those are refused, not coerced, with the message
+    ``int`` gives for what it refuses."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
+_decimal.__name__ = "int"  # argparse names the type in its usage error
+
+
 def _parse_interval(n: int, spec: str) -> CyclicInterval:
     try:
-        start, length = (int(x) for x in spec.split(","))
+        start, length = (_decimal(x) for x in spec.split(","))
         return CyclicInterval(n, start, length)
     except ValueError as e:
         raise _Malformed(f"bad interval '{spec}': {e}")
@@ -223,13 +237,32 @@ def _cmd_bases(args) -> int:
     family = _load_family(_read_json(args.input))
     essential.permutation_from_family(family)  # certified: the permutation's own family
     geometry.TooLarge.check(family.n, geometry.BASES_BOUND)
-    found = geometry._bases(family)
-    if args.format == "json":
-        print(json.dumps([list(b) for b in found]))
-    else:
-        for b in found:
-            print(" ".join(str(e) for e in b))
+    print(_bases_text(args.format, geometry._basis_masks(family)))
     return EXIT_OK
+
+
+@functools.cache
+def _byte_texts(fmt: str) -> tuple[list[str], list[str]]:
+    """The elements of each byte value of a mask's bits 0-7 and 8-15 as
+    text, each element followed by its separator: ", " in JSON, " " in
+    text."""
+    sep = ", " if fmt == "json" else " "
+    low, high = [["".join([f"{e}{sep}" for e in t]) for t in table]
+                 for table in (geometry._LOW, geometry._HIGH)]
+    return low, high
+
+
+def _bases_text(fmt: str, masks: list[int]) -> str:
+    """The bases, from their masks (n <= 16, so two byte tables read
+    each), one line each in text; in JSON, byte for byte the
+    ``json.dumps`` of the list of bases as lists, which prints an int as
+    ``str`` does.  Each basis is one concat of its two bytes' texts, its
+    last separator sliced off.  A positroid has a basis, so the list is
+    never empty."""
+    low, high = _byte_texts(fmt)
+    if fmt == "json":
+        return "[[" + "], [".join([(low[m & 255] + high[m >> 8])[:-2] for m in masks]) + "]]"
+    return "\n".join([(low[m & 255] + high[m >> 8])[:-1] for m in masks])
 
 
 def _cmd_from_matrix(args) -> int:
@@ -336,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", _cmd_enumerate, "stream all bounded affine permutations",
             with_input=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--n", type=_decimal, required=True)
+    p.add_argument("--k", type=_decimal, default=None)
     p.add_argument("--jobs", type=int, default=1,
                    help="kept for compatibility: the enumeration always runs serially")
 

@@ -41,9 +41,11 @@ class NotValidated(ValueError):
 
     def __init__(self, violations: list["Violation"]):
         self.violations = violations
-        super().__init__(
-            "family fails validation: " + "; ".join(str(v) for v in violations)
-        )
+        super().__init__(violations)
+
+    def __str__(self):
+        # built when asked: the CLI prints each violation, not this
+        return "family fails validation: " + "; ".join([str(v) for v in self.violations])
 
 
 @dataclass(frozen=True)

@@ -146,26 +146,38 @@ def _basis_masks(family: RankedEssentialFamily) -> list[int]:
     element a lex comparison meets, so the states stay in lex order.  A
     state takes e only below k elements, and leaves it out only if the
     e - 1 elements left can still make up k; then every cap with c = e
-    filters the states.
+    filters the states.  A state at level e holds at most n - e and at
+    least k - e elements, so the take filter can fail only for
+    e <= n - k and the leave filter only for e <= k: above those levels
+    they are skipped.  As |S| <= k always holds, each cap tests only
+    the side that can fail: a linear cap |S & [c, d]| <= r, a wrapped
+    one |S & [c, d]| >= k - r.
     """
     n, k = family.n, family.k
-    caps: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    caps: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # |S & mask| <= r
+    floors: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # |S & mask| >= k - r
     for start, length, r in family.triples:
         if r >= min(length, k):
             continue
         if start + length <= n + 1:
-            caps[start].append((((1 << length) - 1) << start - 1, 0, r))
+            caps[start].append((((1 << length) - 1) << start - 1, r))
         else:  # the complement [start + length - n, start - 1]
             c = start + length - n
-            caps[c].append((((1 << n - length) - 1) << c - 1, k - r, k))
+            floors[c].append((((1 << n - length) - 1) << c - 1, k - r))
     states = [0]
     for e in range(n, 0, -1):
         bit = 1 << e - 1
-        states = [s | bit for s in states if s.bit_count() < k] + [
-            s for s in states if s.bit_count() > k - e
-        ]
-        for mask, lo, hi in caps[e]:
-            states = [m for m in states if lo <= (m & mask).bit_count() <= hi]
+        if e > n - k:
+            take = [s | bit for s in states]
+        else:
+            take = [s | bit for s in states if s.bit_count() < k]
+        if e <= k:
+            states = [s for s in states if s.bit_count() > k - e]
+        states = take + states
+        for mask, r in caps[e]:
+            states = [m for m in states if (m & mask).bit_count() <= r]
+        for mask, least in floors[e]:
+            states = [m for m in states if (m & mask).bit_count() >= least]
     return states
 
 

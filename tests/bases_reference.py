@@ -9,15 +9,21 @@ only one cap per entry of the family, and is checked against it.  The two
 others read the bases another way: ``matroid_bases`` from the nonzero
 maximal minors of a realizing matrix, and ``binary_lattice_points`` as
 the 0/1 points of the positroid polytope's facet system.
+
+``bases_output`` is the ``bases`` subcommand's output built the plain
+way, the bases as lists through ``json.dumps`` or joined by spaces;
+``cli`` writes the same bytes straight from the basis masks, and is
+checked byte for byte against it.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 from positroids.core import CyclicInterval
 from positroids.essential import RankedEssentialFamily, rank_from_family
-from positroids.geometry import FacetSystem, TooLarge
+from positroids.geometry import FacetSystem, TooLarge, _bases
 from positroids.realize import (
     NotFullRank,
     RationalMatrix,
@@ -42,6 +48,14 @@ def bases_by_scan(family: RankedEssentialFamily) -> list[tuple[int, ...]]:
         if all((mask & imask).bit_count() <= cap for imask, cap in caps):
             out.append(subset)
     return out
+
+
+def bases_output(family: RankedEssentialFamily, fmt: str) -> str:
+    """Everything ``bases`` prints for a certified family."""
+    found = _bases(family)
+    if fmt == "json":
+        return json.dumps([list(b) for b in found]) + "\n"
+    return "".join([" ".join(str(e) for e in b) + "\n" for b in found])
 
 
 def matroid_bases(matrix: RationalMatrix, bound: int = 12) -> list[tuple[int, ...]]:

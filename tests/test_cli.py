@@ -10,6 +10,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -22,10 +23,11 @@ from positroids.cli import main
 from positroids.core import BoundedAffinePermutation, enumerate_permutations
 
 import cli_corpus
+from bases_reference import bases_output
 from enumeration_reference import count_permutations, windows_by_recursion
 from essentials_reference import essentials_output
 from test_core import windows
-from test_essential import oracle
+from test_essential import oracle, random_window
 
 PERM_A = {"n": 8, "window": [3, 4, 8, 7, 6, 9, 10, 13]}
 FAMILY_A = {
@@ -212,6 +214,58 @@ class TestPolytopeAndBases:
         assert code == 0
         assert found == sorted(found)
         assert [1, 5, 7] in found and [1, 5, 6] not in found
+
+
+def lifted(window: list[int], offset: int) -> list[int]:
+    """A window on 16 elements: ``window``'s permutation of [8] on the
+    elements offset + 1 to offset + 8, and loops on the other eight."""
+    block = [offset + v if v <= 8 else offset + v + 8 for v in window]
+    loops = list(range(9 - offset, 17 - offset))
+    return block + loops if offset == 0 else loops + block
+
+
+class TestBasesBytes:
+    """``bases`` prints the bytes of the tuple and ``json.dumps`` path
+    kept in ``bases_reference``, in both formats."""
+
+    def check(self, tmp_path, windows):
+        path = tmp_path / "f.json"
+        for window in windows:
+            family = diagram.ranked_essential_family(BoundedAffinePermutation.from_window(window))
+            path.write_text(json.dumps(family.to_json()))
+            for fmt in ("json", "text"):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert main(["bases", str(path), "--format", fmt]) == 0
+                assert out.getvalue() == bases_output(family, fmt), (window, fmt)
+
+    def test_every_family_up_to_6(self, tmp_path):
+        self.check(tmp_path, [p.window for n in range(1, 7) for p in enumerate_permutations(n)])
+
+    def test_seeded_families_7_to_16(self, tmp_path):
+        rng = random.Random("bases:bytes")
+        self.check(tmp_path, [random_window(rng, n) for n in range(7, 17) for _ in range(6)])
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, 16), (1, 1), (16, 16), (8, 16)])
+    def test_uniform(self, tmp_path, capsys, k, n):
+        self.check(tmp_path, [BoundedAffinePermutation.uniform(k, n).window])
+        path = str(tmp_path / "f.json")
+        code, out, _ = run(["bases", path], capsys)
+        assert code == 0 and len(json.loads(out)) == comb(n, k)
+        if k == 0:
+            assert out == "[[]]\n"
+            assert run(["bases", path, "--format", "text"], capsys) == (0, "\n", "")
+
+    @pytest.mark.parametrize("offset", [0, 8])
+    def test_one_byte_only(self, tmp_path, capsys, offset):
+        # the bases use only elements 1-8 (offset 0) or only 9-16 (offset 8)
+        rng = random.Random(f"bases:byte:{offset}")
+        windows = [lifted(random_window(rng, 8), offset) for _ in range(20)]
+        windows.append(lifted(BoundedAffinePermutation.uniform(4, 8).window, offset))
+        self.check(tmp_path, windows)
+        code, out, _ = run(["bases", str(tmp_path / "f.json")], capsys)
+        assert code == 0 and len(json.loads(out)) == 70
+        assert {e > 8 for b in json.loads(out) for e in b} == {offset > 0}
 
 
 class TestFromMatrix:
@@ -531,6 +585,35 @@ class TestUsageErrors:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("usage: positroids") and message in err
+
+    # int() reads all but the last two of these; the CLI takes only
+    # ASCII digits after an optional minus sign
+    NOT_DECIMAL = ["1_0", "+3", " 3", "3 ", "\u0663", "\uff13", "\u00b3", ""]
+
+    @pytest.mark.parametrize("text", NOT_DECIMAL)
+    def test_enumerate_integers_are_not_coerced(self, capsys, text):
+        for argv in (["enumerate", "--n", text], ["enumerate", "--n", "3", "--k", text]):
+            code, out, err = run(argv, capsys)
+            assert code == 1 and out == "" and err.startswith("usage: positroids")
+            assert f"argument --{argv[-2][2:]}: invalid int value: {text!r}" in err
+
+    @pytest.mark.parametrize("text", NOT_DECIMAL)
+    def test_interval_integers_are_not_coerced(self, write_json, capsys, text):
+        path = write_json("p.json", PERM_A)
+        for spec in (f"{text},2", f"2,{text}"):
+            assert run(["rank", path, "--interval", spec], capsys) == (1, "", (
+                f"error: bad interval '{spec}': "
+                f"invalid literal for int() with base 10: {text!r}\n"
+            ))
+
+    def test_plain_integers_still_read(self, write_json, capsys):
+        path = write_json("p.json", PERM_A)
+        assert run(["rank", path, "--interval", "08,2"], capsys) == (0, "2\n", "")
+        assert run(["rank", path, "--interval=-3,2"], capsys) == (
+            1, "", "error: bad interval '-3,2': start -3 outside [1, 8]\n"
+        )
+        code, out, _ = run(["enumerate", "--n", "03", "--k", "01"], capsys)
+        assert code == 0 and out == run(["enumerate", "--n", "3", "--k", "1"], capsys)[1]
 
     def test_help_exits_0(self, capsys):
         code, out, err = run(["--help"], capsys)

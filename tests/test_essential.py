@@ -673,6 +673,21 @@ class TestRankFunctionFromAxioms:
         with pytest.raises(NotValidated):
             permutation_from_family(bad)
 
+    def test_message_built_only_when_asked(self, monkeypatch):
+        bad = family(6, 2, [(3, 2, 3), (0, 1, 1), (0, 1, 2)])
+        with pytest.raises(NotValidated) as caught:
+            permutation_from_family(bad)
+        violations = caught.value.violations
+        assert len(violations) > 1 and violations == validate_chess(bad)
+        shown = []
+        monkeypatch.setattr(essential.Violation, "__str__",
+                            lambda v: shown.append(v) or f"<{v.rule}>")
+        NotValidated(violations)
+        assert shown == []
+        assert str(NotValidated(violations)) == "family fails validation: " + "; ".join(
+            [f"<{v.rule}>" for v in violations])
+        assert shown == violations
+
     def test_entries_and_bounds(self, family_a):
         F = family_a
         permutation_from_family(F)
